@@ -16,11 +16,7 @@
  *
  * — verifies the paths agree bit-for-bit, prints a table, and emits
  * results/BENCH_throughput.json (records/sec and speedups under
- * "metrics") through the shared results_json emitter. A fourth
- * measurement covers the stream-packed tier (feedTracePacked): a
- * round-robin multi-stream batch through the sequential feed, the
- * packed scalar schedule and the packed SIMD dispatch, with level-1
- * state and counter identity checked in-process.
+ * "metrics") through the shared results_json emitter.
  *
  * Passing any google-benchmark flag (e.g. --benchmark_filter=.*) or
  * setting REPRO_GBENCH=1 additionally runs the microbenchmark suite
@@ -33,7 +29,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <tuple>
 #include <utility>
 
@@ -43,9 +38,7 @@
 #include "core/multi_geom.hh"
 #include "core/predictor_factory.hh"
 #include "core/stats.hh"
-#include "core/table_arena.hh"
 #include "harness/results_json.hh"
-#include "tracegen/pattern.hh"
 #include "harness/sweep.hh"
 #include "harness/table_printer.hh"
 #include "harness/trace_cache.hh"
@@ -227,216 +220,6 @@ compareColumn(PredictorKind kind, std::span<const TraceRecord> trace,
                   TablePrinter::fmt(virt_s / multi_s, 2)});
 }
 
-/**
- * The gather column tier head-to-head at the table sizes it was built
- * for: a column of eight 2^22-entry level-2 tables (16 MiB each,
- * 128 MiB of hot state per kernel). The A/B holds two kernels whose
- * legs interleave, so ~256 MiB of tables contend for the LLC and
- * each leg's walk evicts the other's — the uniform regime below
- * stays capacity-missing even when neighbor tenants on a shared host
- * leave the cache quiet (at 2^20 the same comparison flips with
- * ambient LLC pressure, and at 2^24 TLB walks serialize both legs
- * equally and compress the gap). Two trace regimes, because table
- * size alone does not decide the memory behaviour:
- *
- *  - "go": the paper workload. Its probe stream touches only a few
- *    tens of thousands of distinct slots per column, so even
- *    multi-megabyte tables stay LLC-resident and the per-record
- *    scalar probe loop — already at the load-fill-buffer MLP
- *    ceiling — keeps pace with (and can beat) the vpgatherdd batch.
- *    This row documents that honestly.
- *  - "uniform": 256 static instructions with uniformly random values,
- *    so the FS R-k stream spans far more of the table than any cache
- *    holds and every probe is a cache+TLB miss. Here the batch's
- *    longer prefetch lead (staged a whole 16-record batch ahead
- *    instead of one record) wins. The
- *    `dfcm_bigl2column_uniform_gather_speedup_vs_scalar_probe`
- *    metric is the committed >= 1.15x headline (DFCM is the paper's
- *    predictor; FCM's leaner scalar probe leaves the out-of-order
- *    window more slack, so its row gains ~0.1x less). The perf gate
- *    itself watches the per-leg *_records_per_sec metrics — ratios
- *    of two noisy rates are noisier than either and stay ungated.
- *
- * The baseline leg is the pre-arena world: gather tier off and the
- * kernel's tables pinned to ArenaMode::New (plain 64-byte-aligned
- * allocation, the std::vector equivalent). The gather leg runs the
- * gather tier with the tables under the active arena mode (mmap +
- * MADV_HUGEPAGE where the platform grants it). Both legs and the
- * scalar reference must agree bit-for-bit. Legs are interleaved
- * best-of-kRounds so host-steal noise hits both comparably.
- */
-void
-compareBigL2Column(PredictorKind kind, const std::string& regime,
-                   std::span<const TraceRecord> trace,
-                   harness::ResultsJsonWriter& json,
-                   harness::TablePrinter& table,
-                   harness::SweepExecution& exec)
-{
-    MultiGeomConfig geom;
-    geom.l1_bits = 16;
-    geom.l2_bits = {22, 22, 22, 22, 22, 22, 22, 22};
-    const std::string fam = kindName(kind);
-    const double cell_records = static_cast<double>(trace.size())
-            * static_cast<double>(geom.l2_bits.size());
-    // Best-of-5 interleaved rounds (the PR-8 best-of-N convention):
-    // host-steal bursts on a shared runner dent single rounds by
-    // 20%+, and the committed ratio should reflect the structural
-    // gap, not which leg a burst happened to land on.
-    constexpr int kRounds = 5;
-
-    std::uint64_t sink = 0;
-    std::vector<PredictorStats> probe_stats, gather_stats, ref_stats;
-    const auto runBoth = [&](auto& probe_kernel, auto& gather_kernel) {
-        probe_kernel.setGatherMinBits(0);
-        probe_kernel.setArenaMode(ArenaMode::New);
-        gather_kernel.setGatherMinBits(22);
-        gather_kernel.setArenaMode(table_arena::activeMode());
-        exec.gather_columns += gather_kernel.gatherColumnCount();
-        ref_stats = probe_kernel.runTrace(trace, SimdBackend::Scalar);
-        double probe = 0.0, gather = 0.0;
-        for (int round = 0; round < kRounds; ++round) {
-            const double p = bestSeconds(1, sink, [&] {
-                probe_stats = probe_kernel.runTrace(trace);
-                return probe_stats.back().correct;
-            });
-            const double g = bestSeconds(1, sink, [&] {
-                gather_stats = gather_kernel.runTrace(trace);
-                return gather_stats.back().correct;
-            });
-            probe = round == 0 ? p : std::min(probe, p);
-            gather = round == 0 ? g : std::min(gather, g);
-        }
-        return std::pair{probe, gather};
-    };
-    double probe_s = 0.0, gather_s = 0.0;
-    if (kind == PredictorKind::Fcm) {
-        MultiGeomFcmKernel probe_kernel(geom), gather_kernel(geom);
-        std::tie(probe_s, gather_s) = runBoth(probe_kernel, gather_kernel);
-    } else {
-        MultiGeomDfcmKernel probe_kernel(geom), gather_kernel(geom);
-        std::tie(probe_s, gather_s) = runBoth(probe_kernel, gather_kernel);
-    }
-    exec.cells += 2 * geom.l2_bits.size();
-    exec.batched_cells += 2 * geom.l2_bits.size();
-    exec.trace_walks += 2 * kRounds + 1;
-    benchmark::DoNotOptimize(sink);
-
-    if (probe_stats != ref_stats || gather_stats != ref_stats) {
-        std::cerr << "FATAL: " << fam << " big-l2 column (" << regime
-                  << "): gather tier diverges from the scalar probe "
-                     "path\n";
-        std::exit(1);
-    }
-
-    const double probe_rps = cell_records / probe_s;
-    const double gather_rps = cell_records / gather_s;
-    const std::string stem = fam + "_bigl2column_" + regime;
-    json.addMetric(stem + "_scalar_probe_records_per_sec", probe_rps);
-    json.addMetric(stem + "_gather_records_per_sec", gather_rps);
-    json.addMetric(stem + "_gather_speedup_vs_scalar_probe",
-                   probe_s / gather_s);
-
-    using harness::TablePrinter;
-    table.addRow({fam, regime, TablePrinter::fmt(probe_rps / 1e6, 1),
-                  TablePrinter::fmt(gather_rps / 1e6, 1),
-                  TablePrinter::fmt(probe_s / gather_s, 2)});
-}
-
-/**
- * The stream-packed tier head-to-head: round-robin records from 2^12
- * independent streams (the service drain's steady state — every
- * 16-lane step fills from distinct streams) through the sequential
- * feed, the packed scalar schedule, and the packed SIMD dispatch.
- * Round-robin preserves each stream's record order globally, so the
- * sequential path must land on bit-identical level-1 state; the two
- * packed runs must agree on every counter (the canonical schedule is
- * backend-independent). Aborts loudly on any mismatch.
- */
-void
-comparePackedTier(harness::ResultsJsonWriter& json,
-                  harness::SweepExecution& exec)
-{
-    MultiGeomConfig geom;
-    geom.l1_bits = 12;
-    geom.l2_bits = harness::paperL2Bits();
-
-    const std::uint64_t streams = std::uint64_t{1} << geom.l1_bits;
-    const std::uint64_t rounds = 96;
-    ValueTrace batch;
-    batch.reserve(streams * rounds);
-    for (std::uint64_t r = 0; r < rounds; ++r)
-        for (std::uint64_t s = 0; s < streams; ++s)
-            batch.push_back({Pc{s},
-                             (s * 0x9e3779b97f4a7c15ull
-                              + r * ((s & 31) + 1))
-                                     & 0xffffffffull});
-    const std::span<const TraceRecord> span{batch.data(), batch.size()};
-
-    constexpr int kRepeats = 3;
-    std::uint64_t sink = 0;
-    std::vector<PredictorStats> seq_stats, ps_stats, pv_stats;
-    const double seq_s = bestSeconds(kRepeats, sink, [&] {
-        MultiGeomDfcmKernel kernel(geom);
-        seq_stats = kernel.feedTrace(span);
-        return seq_stats.back().correct;
-    });
-    const double packed_scalar_s = bestSeconds(kRepeats, sink, [&] {
-        MultiGeomDfcmKernel kernel(geom);
-        ps_stats = kernel.feedTracePacked(span, SimdBackend::Scalar);
-        return ps_stats.back().correct;
-    });
-    const double packed_s = bestSeconds(kRepeats, sink, [&] {
-        MultiGeomDfcmKernel kernel(geom);
-        pv_stats = kernel.feedTracePacked(span);
-        return pv_stats.back().correct;
-    });
-    exec.trace_walks += 3 * kRepeats;
-    benchmark::DoNotOptimize(sink);
-
-    MultiGeomDfcmKernel seq_kernel(geom), packed_kernel(geom);
-    seq_kernel.feedTrace(span, SimdBackend::Scalar);
-    packed_kernel.feedTracePacked(span);
-    for (std::uint64_t e = 0; e < streams; ++e) {
-        if (!std::ranges::equal(seq_kernel.entryHists(e),
-                                packed_kernel.entryHists(e))
-            || seq_kernel.lastValue(e) != packed_kernel.lastValue(e)) {
-            std::cerr << "FATAL: packed tier level-1 state diverges "
-                         "from the sequential feed at entry "
-                      << e << "\n";
-            std::exit(1);
-        }
-    }
-    for (std::size_t c = 0; c < ps_stats.size(); ++c) {
-        if (ps_stats[c] != pv_stats[c]) {
-            std::cerr << "FATAL: packed counters differ between "
-                         "scalar schedule and SIMD dispatch\n";
-            std::exit(1);
-        }
-    }
-
-    // Cell-records (records x columns), matching the column table.
-    const double n = static_cast<double>(batch.size())
-            * static_cast<double>(geom.l2_bits.size());
-    json.addMetric("dfcm_packed_sequential_records_per_sec",
-                   n / seq_s);
-    json.addMetric("dfcm_packed_scalar_records_per_sec",
-                   n / packed_scalar_s);
-    json.addMetric("dfcm_packed_simd_records_per_sec", n / packed_s);
-    json.addMetric("dfcm_packed_simd_speedup_vs_sequential",
-                   seq_s / packed_s);
-    json.addMetric("dfcm_packed_simd_speedup_vs_packed_scalar",
-                   packed_scalar_s / packed_s);
-    std::cout << "\nstream-packed tier (dfcm, " << streams
-              << " streams round-robin, whole l2 column, Mrps as "
-                 "above):\n  sequential "
-              << n / seq_s / 1e6 << ", packed-scalar "
-              << n / packed_scalar_s / 1e6 << ", packed-simd "
-              << n / packed_s / 1e6 << " (x"
-              << packed_scalar_s / packed_s
-              << " vs packed-scalar, x" << seq_s / packed_s
-              << " vs sequential; state and counters verified)\n";
-}
-
 /** Single-config kernel-vs-virtual ratio for one family. */
 void
 compareFamily(PredictorKind kind, std::span<const TraceRecord> trace,
@@ -587,7 +370,7 @@ main(int argc, char** argv)
                                  : "cold-generate+persist";
     const std::span<const TraceRecord> trace = cache.getSpan(workload);
 
-    const SimdBackend backend = activeSimdBackend();
+    const SimdBackend backend = bestSimdBackend();
     std::cout << "=== throughput: execution-path comparison ===\n"
               << "trace: " << workload << ", " << trace.size()
               << " records, fig-10 l2 column = "
@@ -624,80 +407,14 @@ main(int argc, char** argv)
 
     const auto bench_start = std::chrono::steady_clock::now();
 
-    {
-        MultiGeomConfig probe_geom;
-        probe_geom.l2_bits = harness::paperL2Bits();
-        MultiGeomFcmKernel probe(probe_geom);
-        exec.gather_min_bits = probe.gatherMinBits();
-    }
-    // The miss-bound regime for the gather tier: 256 static
-    // instructions of uniformly random values, so the hashed probe
-    // stream spreads across the 2^22-entry tables and the A/B pair's
-    // combined ~256 MiB of tables thrash any LLC (the paper traces
-    // touch only a few tens of thousands of distinct slots per column
-    // and stay LLC-resident no matter how big the table is).
-    // Deliberately NOT scaled by
-    // REPRO_TRACE_SCALE: the gather/probe ratio depends on how much
-    // of the table the trace touches, so a shorter trace would change
-    // the regime being measured — the perf gate must compare the same
-    // physics as the committed baseline, and the fixed-length legs
-    // cost only a few seconds.
-    //
-    // This family runs FIRST, before any other comparison has churned
-    // the address space: the A/B's 128 MiB kernels are sensitive to
-    // allocator and VMA aging (a few percent on the probe/gather
-    // legs), and first place keeps the measurement conditions closest
-    // to a standalone reproduction of the same shape.
-    const std::size_t uniform_records = 2000000;
-    tracegen::TraceMixer uniform_mixer(7);
-    for (unsigned pc = 0; pc < 256; ++pc)
-        uniform_mixer.add(0x1000 + pc * 64,
-                          std::make_unique<tracegen::RandomPattern>(
-                                  0xABCD + pc));
-    const ValueTrace uniform_trace =
-            uniform_mixer.generate(uniform_records);
-    // The go rows are pinned to the full-scale trace for the same
-    // reason: a scaled run is a different program execution (not a
-    // prefix of the full one), and how often its probe stream
-    // revisits a 2^22-entry slot — the whole point of the go rows —
-    // changes with the run length. A second cache at scale 1.0
-    // shares the persistent store (entries are keyed on the exact
-    // scale) and costs one extra go generation on storeless runs.
-    harness::TraceCache big_go_cache(1.0);
-    const std::span<const TraceRecord> big_go_trace =
-            big_go_cache.getSpan(workload);
-
-    std::cout << "=== gather column tier: 8 x 2^22-entry tables "
-                 "(128 MiB hot state per kernel) ===\n";
-    TablePrinter big_table({"family", "regime", "scalar_probe_Mrps",
-                            "gather_Mrps", "gather/probe"});
-    compareBigL2Column(PredictorKind::Dfcm, "uniform", uniform_trace,
-                       json, big_table, exec);
-    compareBigL2Column(PredictorKind::Fcm, "uniform", uniform_trace,
-                       json, big_table, exec);
-    compareBigL2Column(PredictorKind::Fcm, "go", big_go_trace, json,
-                       big_table, exec);
-    compareBigL2Column(PredictorKind::Dfcm, "go", big_go_trace, json,
-                       big_table, exec);
-    big_table.print(std::cout);
-    std::cout << "(probe leg: gather off, tables pinned to plain "
-                 "allocation; gather leg: gather on, tables under the "
-                 "arena; all legs verified against the scalar "
-                 "reference.\n go = paper trace, LLC-resident probe "
-                 "stream; uniform = random values, every probe a "
-                 "cache+TLB miss — the regime the tier is for)\n";
-
     TablePrinter table({"family", "virtual_Mrps", "fused_Mrps",
                         "mg_scalar_Mrps", "mg_simd_Mrps",
                         "simd/scalar", "simd/virt"});
-    std::cout << "\n";
     compareColumn(PredictorKind::Fcm, trace, json, table, exec);
     compareColumn(PredictorKind::Dfcm, trace, json, table, exec);
     table.print(std::cout);
     std::cout << "(Mrps = million cell-records per second over the "
                  "whole l2 column; all paths verified bit-identical)\n";
-
-    comparePackedTier(json, exec);
 
     for (PredictorKind kind :
          {PredictorKind::Lvp, PredictorKind::Stride,

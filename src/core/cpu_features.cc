@@ -1,12 +1,5 @@
 #include "core/cpu_features.hh"
 
-#include <cctype>
-#include <cstdlib>
-#include <iostream>
-#include <mutex>
-
-#include "core/env_util.hh"
-
 namespace vpred
 {
 
@@ -15,37 +8,14 @@ namespace
 
 /**
  * Whether the running CPU can execute AVX2. Only meaningful when the
- * AVX2 translation unit was compiled in (REPRO_SIMD_HAS_AVX2); the
+ * AVX2 translation unit was compiled in (VPRED_HAS_AVX2_KERNEL); the
  * compiler builtin performs the CPUID probe once per process.
  */
 bool
 cpuHasAvx2()
 {
-#if defined(REPRO_SIMD_HAS_AVX2) && (defined(__x86_64__) || defined(__i386__))
+#if defined(VPRED_HAS_AVX2_KERNEL) && (defined(__x86_64__) || defined(__i386__))
     static const bool has = __builtin_cpu_supports("avx2") > 0;
-    return has;
-#else
-    return false;
-#endif
-}
-
-/**
- * Whether the running CPU can execute the AVX-512 TU: F (32-bit
- * gather/scatter, mask compare, variable shifts) plus CD (vpconflictd,
- * the gather column tier's in-batch duplicate detector). CD has
- * shipped alongside F on every AVX-512 implementation, so requiring
- * both costs no real hardware. The TU is only compiled when the AVX2
- * TU is too (see core/CMakeLists.txt), so AVX-512 availability implies
- * AVX2 availability both at build time and — architecturally — at run
- * time.
- */
-bool
-cpuHasAvx512()
-{
-#if defined(REPRO_SIMD_HAS_AVX512) \
-        && (defined(__x86_64__) || defined(__i386__))
-    static const bool has = __builtin_cpu_supports("avx512f") > 0
-            && __builtin_cpu_supports("avx512cd") > 0;
     return has;
 #else
     return false;
@@ -56,39 +26,9 @@ std::vector<SimdBackend>
 probeBackends()
 {
     std::vector<SimdBackend> backends = {SimdBackend::Scalar};
-#if defined(REPRO_SIMD_HAS_SSE2)
-    // SSE2 is architecturally guaranteed on x86-64; no probe needed.
-    backends.push_back(SimdBackend::Sse2);
-#endif
-#if defined(REPRO_SIMD_HAS_NEON)
-    // Advanced SIMD is architecturally guaranteed on AArch64.
-    backends.push_back(SimdBackend::Neon);
-#endif
     if (cpuHasAvx2())
         backends.push_back(SimdBackend::Avx2);
-    if (cpuHasAvx512())
-        backends.push_back(SimdBackend::Avx512);
     return backends;
-}
-
-/** One-time stderr warning keyed on the offending REPRO_SIMD value. */
-void
-warnOnce(const std::string& message)
-{
-    static std::once_flag flag;
-    std::call_once(flag, [&] {
-        std::cerr << "warning: " << message << "\n";
-    });
-}
-
-std::string
-toLower(const char* s)
-{
-    std::string out;
-    for (; *s != '\0'; ++s)
-        out += static_cast<char>(
-                std::tolower(static_cast<unsigned char>(*s)));
-    return out;
 }
 
 } // namespace
@@ -98,10 +38,7 @@ simdBackendName(SimdBackend backend)
 {
     switch (backend) {
       case SimdBackend::Scalar: return "scalar";
-      case SimdBackend::Sse2: return "sse2";
       case SimdBackend::Avx2: return "avx2";
-      case SimdBackend::Neon: return "neon";
-      case SimdBackend::Avx512: return "avx512";
     }
     return "unknown";
 }
@@ -111,10 +48,7 @@ simdVectorBits(SimdBackend backend)
 {
     switch (backend) {
       case SimdBackend::Scalar: return 64;
-      case SimdBackend::Sse2: return 128;
       case SimdBackend::Avx2: return 256;
-      case SimdBackend::Neon: return 128;
-      case SimdBackend::Avx512: return 512;
     }
     return 0;
 }
@@ -139,46 +73,6 @@ SimdBackend
 bestSimdBackend()
 {
     return availableSimdBackends().back();
-}
-
-SimdBackend
-activeSimdBackend()
-{
-    const std::optional<std::string> env = envRaw("REPRO_SIMD");
-    if (!env)
-        return bestSimdBackend();
-    const std::string v = toLower(env->c_str());
-    if (v == "1" || v == "on" || v == "best" || v == "true")
-        return bestSimdBackend();
-    if (v == "0" || v == "off" || v == "false" || v == "scalar")
-        return SimdBackend::Scalar;
-
-    SimdBackend requested = SimdBackend::Scalar;
-    if (v == "sse2") {
-        requested = SimdBackend::Sse2;
-    } else if (v == "avx2") {
-        requested = SimdBackend::Avx2;
-    } else if (v == "avx512") {
-        requested = SimdBackend::Avx512;
-    } else if (v == "neon") {
-        requested = SimdBackend::Neon;
-    } else {
-        // A name that is not a backend at all is a misconfiguration,
-        // not a preference — it used to silently select "best", so a
-        // typo like REPRO_SIMD=sse3 measured the wrong kernel.
-        envUsageError("REPRO_SIMD", *env,
-                      "one of scalar/sse2/avx2/avx512/neon/best/0/1/"
-                      "on/off");
-    }
-    // A real backend name that this build or CPU cannot run is an
-    // environmental condition, not a typo: warn and degrade to the
-    // scalar reference kernels, which are always available.
-    if (simdBackendAvailable(requested))
-        return requested;
-    warnOnce("REPRO_SIMD=" + v
-             + " is not compiled in or not supported by this CPU;"
-               " falling back to the scalar kernels");
-    return SimdBackend::Scalar;
 }
 
 } // namespace vpred

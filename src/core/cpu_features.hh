@@ -1,57 +1,39 @@
 /**
  * @file
- * Runtime SIMD capability detection and backend selection for the
- * multi-geometry sweep kernels.
+ * Runtime SIMD capability detection for the multi-geometry sweep
+ * kernels.
  *
  * The kernels in core/multi_geom.cc have one scalar reference
- * implementation plus vector implementations compiled per instruction
- * set (see core/simd.hh and the multi_geom_simd_*.cc translation
- * units). Which vector units exist is a *build* question (did CMake
- * add the AVX2 TU?) and a *machine* question (does this CPU execute
- * AVX2?); this header answers both once at startup and exposes the
- * answer to the kernels, the harness (BENCH JSON "execution"
- * reporting) and the tests.
+ * implementation plus one AVX2 column kernel (core/simd.hh and
+ * multi_geom_simd_avx2.cc). Whether AVX2 can run is a *build*
+ * question (did CMake add the AVX2 TU?) and a *machine* question
+ * (does this CPU execute AVX2?); this header answers both once per
+ * process and exposes the answer to the kernels, the harness (BENCH
+ * JSON "execution" reporting) and the tests.
  *
- * Selection order for the active backend:
- *
- *   1. the REPRO_SIMD environment variable, when set:
- *        "0" / "off" / "false" / "scalar"  -> scalar reference path
- *        "1" / "on" / "best" / ""          -> best available backend
- *        "sse2" / "avx2" / "avx512" /      -> that backend; falls back
- *        "neon"                               to scalar (with a
- *                                             one-time stderr warning)
- *                                             when it is not compiled
- *                                             in or not supported by
- *                                             the CPU
- *   2. otherwise the widest backend that is both compiled in and
- *      supported by the running CPU.
- *
- * Every backend is bit-identical to the scalar path (asserted in
- * tests/simd_kernel_test.cc), so the selection never changes figure
- * output — only throughput.
+ * The kernels dispatch to bestSimdBackend(). The AVX2 kernel is
+ * bit-identical to the scalar path (asserted in
+ * tests/simd_kernel_test.cc), so the choice never changes figure
+ * output — only throughput. Tests and benches pin a backend through
+ * the explicit runTrace(trace, backend) overloads.
  */
 
 #ifndef DFCM_CORE_CPU_FEATURES_HH
 #define DFCM_CORE_CPU_FEATURES_HH
 
-#include <string>
 #include <vector>
 
 namespace vpred
 {
 
-/** A vector implementation of the multi-geometry kernels. */
+/** An implementation of the multi-geometry kernels. */
 enum class SimdBackend
 {
     Scalar,  //!< reference implementation, always available
-    Sse2,    //!< x86-64 baseline, 128-bit lanes
     Avx2,    //!< x86-64 with AVX2, 256-bit lanes
-    Neon,    //!< AArch64 baseline, 128-bit lanes
-    Avx512,  //!< x86-64 with AVX-512F, 512-bit lanes (packed tier)
 };
 
-/** Short lowercase name: "scalar", "sse2", "avx2", "avx512",
- *  "neon". */
+/** Short lowercase name: "scalar" or "avx2". */
 const char* simdBackendName(SimdBackend backend);
 
 /** Integer vector width in bits (64 for scalar: one u32 pair of
@@ -69,17 +51,8 @@ const std::vector<SimdBackend>& availableSimdBackends();
 /** True iff @p backend is in availableSimdBackends(). */
 bool simdBackendAvailable(SimdBackend backend);
 
-/** The widest available backend (the default dispatch target). */
+/** The widest available backend: what the kernels dispatch to. */
 SimdBackend bestSimdBackend();
-
-/**
- * The backend the kernels should use *now*: bestSimdBackend()
- * filtered through the REPRO_SIMD environment variable (see the file
- * comment for the accepted values). The environment is consulted on
- * every call so tests can toggle REPRO_SIMD between runs; the
- * hardware probe behind it is cached.
- */
-SimdBackend activeSimdBackend();
 
 } // namespace vpred
 

@@ -3,8 +3,8 @@
  * Checked environment-variable parsing with loud failure.
  *
  * Every REPRO_* knob used to have its own ad-hoc reader, and the
- * three oldest (REPRO_TRACE_SCALE, REPRO_BATCH_SWEEP, REPRO_SIMD)
- * predated the parse_util.hh migration: a typo like
+ * oldest (REPRO_TRACE_SCALE, REPRO_BATCH_SWEEP) predated the
+ * parse_util.hh migration: a typo like
  * REPRO_TRACE_SCALE=0.5x or REPRO_BATCH_SWEEP=fales silently fell
  * back to the default, so a run you believed was scaled or batched
  * differently was not. That failure mode is worse than a crash — the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/env_util.hh"
 #include "core/multi_geom_simd.hh"
 #include "core/simd.hh"
 
@@ -68,203 +67,31 @@ hotColumns(std::vector<MultiGeomKernelBase::Column>& cols,
 }
 
 /** The vector entry point for @p backend, or nullptr for the scalar
- *  reference path (also the fallback for backends this binary does
- *  not carry or this CPU cannot run). */
+ *  reference path (also the fallback when this binary does not carry
+ *  the AVX2 kernel or this CPU cannot run it). */
 using MgKernelFn = void (*)(const detail::MgSimdView&,
                             std::span<const TraceRecord>);
 
 MgKernelFn
 backendKernel(SimdBackend backend)
 {
-    if (!simdBackendAvailable(backend))
-        return nullptr;
-    switch (backend) {
-#if defined(REPRO_SIMD_HAS_SSE2)
-      case SimdBackend::Sse2:
-        return &detail::runMgColumnsSse2;
-#endif
-#if defined(REPRO_SIMD_HAS_AVX2)
-      case SimdBackend::Avx2:
+#if defined(VPRED_HAS_AVX2_KERNEL)
+    if (backend == SimdBackend::Avx2 && simdBackendAvailable(backend))
         return &detail::runMgColumnsAvx2;
-      // The column tier keeps 8-lane bank padding (kMaxSimdLanes), so
-      // AVX-512 dispatch reuses the AVX2 column kernel; AVX-512's win
-      // is the 16-lane stream-packed tier (backendPackedKernel).
-      case SimdBackend::Avx512:
-        return &detail::runMgColumnsAvx2;
+#else
+    (void)backend;
 #endif
-#if defined(REPRO_SIMD_HAS_NEON)
-      case SimdBackend::Neon:
-        return &detail::runMgColumnsNeon;
-#endif
-      default:
-        return nullptr;
-    }
+    return nullptr;
 }
 
 std::vector<PredictorStats>
-gatherStats(std::span<const TraceRecord> trace,
+columnStats(std::span<const TraceRecord> trace,
             const std::vector<std::uint64_t>& correct)
 {
     std::vector<PredictorStats> stats(correct.size());
     for (std::size_t c = 0; c < correct.size(); ++c)
         stats[c] = PredictorStats{trace.size(), correct[c]};
     return stats;
-}
-
-/**
- * Scalar reference for the stream-packed tier: replay the canonical
- * 16-lane schedule with plain loops, phase for phase in the order the
- * vector kernels are contracted to (multi_geom_simd_impl.hh,
- * runMgPacked) — per (step, column) all lanes read before any lane
- * writes, level-2 stores land in ascending lane order, then the
- * history advances. Because the schedule fixes the interleave and
- * this function fixes the intra-step order, its counters are
- * bit-identical to every vector backend's; it is both the fallback
- * for non-gather backends and the oracle the packed tests pin the
- * backends against.
- */
-void
-runMgPackedScalar(const detail::MgPackedView& v)
-{
-    constexpr unsigned kW = simd::kPackLanes;
-    const std::size_t n = v.n;
-    const std::size_t pn = v.padded_n;
-    const std::uint32_t vmask = v.value_mask;
-
-    for (std::size_t s = 0; s < v.steps; ++s) {
-        const std::uint32_t* entries = v.lane_entry + s * kW;
-        const std::uint32_t* values = v.lane_value + s * kW;
-        const std::uint32_t active = v.step_active[s];
-        const std::uint32_t fits = v.step_fits[s];
-
-        std::uint32_t lastv[kW];
-        std::uint32_t ins[kW];
-        for (unsigned l = 0; l < kW; ++l) {
-            if (v.dfcm) {
-                lastv[l] = static_cast<std::uint32_t>(
-                        v.last[entries[l]]);
-                ins[l] = (values[l] - lastv[l]) & vmask;
-            } else {
-                lastv[l] = 0;
-                ins[l] = values[l];
-            }
-        }
-
-        for (std::size_t c = 0; c < n; ++c) {
-            std::uint32_t* l2c = v.l2[c];
-            std::uint32_t h[kW];
-            std::uint32_t slot[kW];
-            for (unsigned l = 0; l < kW; ++l) {
-                h[l] = v.hists[entries[l] * pn + c];
-                slot[l] = l2c[h[l]];
-            }
-            for (unsigned l = 0; l < kW; ++l) {
-                if (!(fits & (1u << l)))
-                    continue;
-                std::uint32_t pred = slot[l];
-                if (v.dfcm) {
-                    std::uint32_t st = slot[l];
-                    if (v.widen) {
-                        const std::uint32_t m =
-                                1u << (v.stride_bits - 1);
-                        st = (st ^ m) - m;
-                    }
-                    pred = (lastv[l] + st) & vmask;
-                }
-                v.correct[c] += pred == values[l];
-            }
-            for (unsigned l = 0; l < kW; ++l)
-                if (active & (1u << l))
-                    l2c[h[l]] = v.dfcm ? (ins[l] & v.stride_mask)
-                                       : values[l];
-            const std::uint32_t sh = v.shifts[c];
-            const std::uint32_t fb = v.fold_bits[c];
-            const std::uint32_t fm = v.fold_masks[c];
-            const std::uint32_t im = v.index_masks[c];
-            for (unsigned l = 0; l < kW; ++l) {
-                if (!(active & (1u << l)))
-                    continue;
-                std::uint32_t f = 0;
-                std::uint32_t t = ins[l];
-                for (unsigned k = 0; k < v.chunks; ++k) {
-                    f ^= t;
-                    t >>= fb;
-                }
-                v.hists[entries[l] * pn + c] =
-                        ((h[l] << sh) ^ (f & fm)) & im;
-            }
-        }
-
-        if (v.dfcm)
-            for (unsigned l = 0; l < kW; ++l)
-                if (active & (1u << l))
-                    v.last[entries[l]] = values[l];
-    }
-}
-
-/**
- * The gather *column* tier's entry point for @p backend, or nullptr
- * when the backend has no gather surface (the dispatcher then keeps
- * the plain column kernel). Unlike the column tier, AVX-512 gets its
- * own 16-record instantiation here — wide gathers are this tier's
- * whole point — falling back to the 8-record AVX2 one in builds
- * without the AVX-512 TU.
- */
-MgKernelFn
-backendGatherKernel(SimdBackend backend)
-{
-    if (!simdBackendAvailable(backend))
-        return nullptr;
-    switch (backend) {
-#if defined(REPRO_SIMD_HAS_AVX2)
-      case SimdBackend::Avx2:
-        return &detail::runMgGatherAvx2;
-      case SimdBackend::Avx512:
-#if defined(REPRO_SIMD_HAS_AVX512)
-        return &detail::runMgGatherAvx512;
-#else
-        return &detail::runMgGatherAvx2;
-#endif
-#endif
-      default:
-        return nullptr;
-    }
-}
-
-/**
- * The gather tier's default size threshold: columns with l2_bits >=
- * this probe through runMgGather (overridable via
- * REPRO_GATHER_COLUMNS; 0 disables the tier). 2^18 u32 slots = 1 MiB
- * is where the measured crossover sits on the reference machine: the
- * table decisively exceeds per-core L2, most probes miss to L3 or
- * DRAM, and batching W misses per vpgatherdd beats the scalar
- * dependent-load chain (docs/perf.md has the numbers); below it the
- * probes mostly hit cache and batch staging is pure overhead.
- */
-constexpr unsigned kDefaultGatherMinBits = 18;
-
-/** The gather-capable packed entry point for @p backend, or nullptr
- *  for the scalar packed reference (the fallback for non-gather
- *  backends and for builds/CPUs without one). */
-using MgPackedFn = void (*)(const detail::MgPackedView&);
-
-MgPackedFn
-backendPackedKernel(SimdBackend backend)
-{
-    if (!simdBackendAvailable(backend))
-        return nullptr;
-    switch (backend) {
-#if defined(REPRO_SIMD_HAS_AVX2)
-      case SimdBackend::Avx2:
-        return &detail::runMgPackedAvx2;
-#endif
-#if defined(REPRO_SIMD_HAS_AVX512)
-      case SimdBackend::Avx512:
-        return &detail::runMgPackedAvx512;
-#endif
-      default:
-        return nullptr;
-    }
 }
 
 } // namespace
@@ -323,47 +150,6 @@ MultiGeomKernelBase::MultiGeomKernelBase(const MultiGeomConfig& config)
                 (cfg_.value_bits + hash.foldBits() - 1) / hash.foldBits();
         max_chunks_ = std::max(max_chunks_, chunks);
     }
-
-    // The packed vector kernels compute history-bank gather indices
-    // (entry * padded_n + c) in signed 32-bit lanes; geometries too
-    // big for that take the scalar packed reference instead.
-    packed_simd_ok_ =
-            static_cast<std::uint64_t>(l1Entries()) * padded_n_
-            < (std::uint64_t{1} << 31);
-
-    gather_min_bits_ = static_cast<unsigned>(envUIntOr(
-            "REPRO_GATHER_COLUMNS", kDefaultGatherMinBits, 0, 32));
-    planGatherColumns();
-}
-
-void
-MultiGeomKernelBase::planGatherColumns()
-{
-    gather_cols_.clear();
-    scalar_cols_.clear();
-    for (std::size_t c = 0; c < cols_.size(); ++c) {
-        const bool gather = gather_min_bits_ != 0
-                && cols_[c].hash.indexBits() >= gather_min_bits_;
-        (gather ? gather_cols_ : scalar_cols_)
-                .push_back(static_cast<std::uint32_t>(c));
-    }
-}
-
-void
-MultiGeomKernelBase::setGatherMinBits(unsigned bits)
-{
-    gather_min_bits_ = bits;
-    planGatherColumns();
-}
-
-void
-MultiGeomKernelBase::setArenaMode(ArenaMode mode)
-{
-    hists_.setArenaMode(mode);
-    for (std::size_t c = 0; c < cols_.size(); ++c) {
-        cols_[c].l2.setArenaMode(mode);
-        l2_ptrs_[c] = cols_[c].l2.data();  // re-homing moved the table
-    }
 }
 
 void
@@ -415,146 +201,6 @@ MultiGeomKernelBase::makeView(std::uint64_t* correct)
     view.widen = false;
     view.prefetch_cols = prefetch_cols_.data();
     view.n_prefetch = prefetch_cols_.size();
-    view.gather_cols = gather_cols_.data();
-    view.n_gather = gather_cols_.size();
-    view.scalar_cols = scalar_cols_.data();
-    view.n_scalar = scalar_cols_.size();
-    return view;
-}
-
-std::size_t
-MultiGeomKernelBase::packTrace(std::span<const TraceRecord> trace)
-{
-    constexpr unsigned kW = simd::kPackLanes;
-
-    if (pack_stamp_.empty()) {
-        pack_stamp_.assign(l1Entries(), 0);
-        pack_gid_.resize(l1Entries());
-    }
-    if (++pack_epoch_ == 0) {
-        // Epoch wrap: stale stamps could collide, so clear them once
-        // every 2^32 calls.
-        std::fill(pack_stamp_.begin(), pack_stamp_.end(), 0);
-        pack_epoch_ = 1;
-    }
-
-    // Pass 1: assign group ids in first-appearance order and count
-    // each group's records.
-    pk_group_entry_.clear();
-    pk_group_count_.clear();
-    for (const TraceRecord& rec : trace) {
-        const auto e = static_cast<std::uint32_t>(rec.pc & l1_mask_);
-        if (pack_stamp_[e] != pack_epoch_) {
-            pack_stamp_[e] = pack_epoch_;
-            pack_gid_[e] =
-                    static_cast<std::uint32_t>(pk_group_entry_.size());
-            pk_group_entry_.push_back(e);
-            pk_group_count_.push_back(0);
-        }
-        ++pk_group_count_[pack_gid_[e]];
-    }
-    const std::size_t groups = pk_group_entry_.size();
-
-    // Pass 2: distribute (masked value, fits) into the grouped area,
-    // preserving each group's trace order.
-    pk_group_off_.resize(groups);
-    pk_group_cursor_.resize(groups);
-    std::uint32_t off = 0;
-    for (std::size_t g = 0; g < groups; ++g) {
-        pk_group_off_[g] = off;
-        pk_group_cursor_[g] = off;
-        off += pk_group_count_[g];
-    }
-    pk_values_.resize(trace.size());
-    pk_fits_.resize(trace.size());
-    for (const TraceRecord& rec : trace) {
-        const std::uint32_t g =
-                pack_gid_[static_cast<std::uint32_t>(rec.pc & l1_mask_)];
-        const std::uint32_t pos = pk_group_cursor_[g]++;
-        pk_values_[pos] =
-                static_cast<std::uint32_t>(rec.value & value_mask_);
-        pk_fits_[pos] = (rec.value & ~value_mask_) == 0;
-    }
-
-    // Pass 3: emit waves. Wave j holds the j-th record of every group
-    // that still has one, cut into 16-lane steps; the last step of a
-    // wave is padded with inactive lanes (entry/value 0) rather than
-    // borrowing from the next wave, which would re-admit an entry
-    // into a step that already carries it.
-    pk_lane_entry_.clear();
-    pk_lane_value_.clear();
-    pk_step_active_.clear();
-    pk_step_fits_.clear();
-    pk_lane_entry_.reserve(trace.size() + kW);
-    pk_lane_value_.reserve(trace.size() + kW);
-
-    pk_alive_.resize(groups);
-    for (std::size_t g = 0; g < groups; ++g)
-        pk_alive_[g] = static_cast<std::uint32_t>(g);
-
-    std::size_t steps = 0;
-    unsigned lane = 0;
-    std::uint16_t active = 0;
-    std::uint16_t fits = 0;
-    const auto closeStep = [&] {
-        if (lane == 0)
-            return;
-        for (; lane < kW; ++lane) {
-            pk_lane_entry_.push_back(0);
-            pk_lane_value_.push_back(0);
-        }
-        pk_step_active_.push_back(active);
-        pk_step_fits_.push_back(fits);
-        ++steps;
-        lane = 0;
-        active = 0;
-        fits = 0;
-    };
-    for (std::uint32_t wave = 0; !pk_alive_.empty(); ++wave) {
-        for (const std::uint32_t g : pk_alive_) {
-            const std::uint32_t pos = pk_group_off_[g] + wave;
-            pk_lane_entry_.push_back(pk_group_entry_[g]);
-            pk_lane_value_.push_back(pk_values_[pos]);
-            active |= static_cast<std::uint16_t>(1u << lane);
-            if (pk_fits_[pos])
-                fits |= static_cast<std::uint16_t>(1u << lane);
-            if (++lane == kW)
-                closeStep();
-        }
-        closeStep();
-        std::erase_if(pk_alive_, [&](std::uint32_t g) {
-            return pk_group_count_[g] <= wave + 1;
-        });
-    }
-    return steps;
-}
-
-detail::MgPackedView
-MultiGeomKernelBase::makePackedView(std::uint64_t* correct,
-                                    std::size_t steps)
-{
-    detail::MgPackedView view;
-    view.hists = hists_.data();
-    view.n = cols_.size();
-    view.padded_n = padded_n_;
-    view.value_mask = static_cast<std::uint32_t>(value_mask_);
-    view.stride_mask = static_cast<std::uint32_t>(value_mask_);
-    view.stride_bits = cfg_.value_bits;
-    view.chunks = max_chunks_;
-    view.l2 = l2_ptrs_.data();
-    view.shifts = col_shifts_.data();
-    view.fold_bits = col_fold_bits_.data();
-    view.fold_masks = col_fold_masks_.data();
-    view.index_masks = col_index_masks_.data();
-    view.correct = correct;
-    view.last = nullptr;
-    view.dfcm = false;
-    view.widen = false;
-    view.lane_entry = pk_lane_entry_.data();
-    view.lane_value = pk_lane_value_.data();
-    view.step_active = pk_step_active_.data();
-    view.step_fits = pk_step_fits_.data();
-    view.steps = steps;
     return view;
 }
 
@@ -566,7 +212,7 @@ MultiGeomFcmKernel::MultiGeomFcmKernel(const MultiGeomConfig& config)
 std::vector<PredictorStats>
 MultiGeomFcmKernel::runTrace(std::span<const TraceRecord> trace)
 {
-    return runTrace(trace, activeSimdBackend());
+    return runTrace(trace, bestSimdBackend());
 }
 
 std::vector<PredictorStats>
@@ -580,7 +226,7 @@ MultiGeomFcmKernel::runTrace(std::span<const TraceRecord> trace,
 std::vector<PredictorStats>
 MultiGeomFcmKernel::feedTrace(std::span<const TraceRecord> trace)
 {
-    return feedTrace(trace, activeSimdBackend());
+    return feedTrace(trace, bestSimdBackend());
 }
 
 std::vector<PredictorStats>
@@ -590,16 +236,10 @@ MultiGeomFcmKernel::feedTrace(std::span<const TraceRecord> trace,
     const std::size_t n = cols_.size();
     std::vector<std::uint64_t> correct(n, 0);
 
-    if (MgKernelFn kernel = backendKernel(backend)) {
-        // Plan says some columns are big enough for batched gather
-        // probes and the backend has a gather surface: take the
-        // gather tier (bit-identical, so this never changes results).
-        if (!gather_cols_.empty())
-            if (const MgKernelFn g = backendGatherKernel(backend))
-                kernel = g;
+    if (const MgKernelFn kernel = backendKernel(backend)) {
         const detail::MgSimdView view = makeView(correct.data());
         kernel(view, trace);
-        return gatherStats(trace, correct);
+        return columnStats(trace, correct);
     }
 
     // Scalar reference path.
@@ -622,41 +262,7 @@ MultiGeomFcmKernel::feedTrace(std::span<const TraceRecord> trace,
                 static_cast<std::uint32_t>(hashInsert(col, h, masked));
         }
     }
-    return gatherStats(trace, correct);
-}
-
-std::vector<PredictorStats>
-MultiGeomFcmKernel::feedTracePacked(std::span<const TraceRecord> trace)
-{
-    return feedTracePacked(trace, activeSimdBackend());
-}
-
-std::vector<PredictorStats>
-MultiGeomFcmKernel::feedTracePacked(std::span<const TraceRecord> trace,
-                                    SimdBackend backend,
-                                    PackedFeedInfo* info)
-{
-    std::vector<std::uint64_t> correct(cols_.size(), 0);
-    if (info)
-        *info = PackedFeedInfo{};
-    if (!trace.empty()) {
-        const std::size_t steps = packTrace(trace);
-        const detail::MgPackedView view =
-                makePackedView(correct.data(), steps);
-        const MgPackedFn kernel =
-                packed_simd_ok_ ? backendPackedKernel(backend) : nullptr;
-        if (kernel)
-            kernel(view);
-        else
-            runMgPackedScalar(view);
-        if (info) {
-            info->steps = steps;
-            info->records = trace.size();
-            (kernel ? info->gather_records : info->scalar_records) =
-                    trace.size();
-        }
-    }
-    return gatherStats(trace, correct);
+    return columnStats(trace, correct);
 }
 
 MultiGeomDfcmKernel::MultiGeomDfcmKernel(const MultiGeomConfig& config)
@@ -671,7 +277,7 @@ MultiGeomDfcmKernel::MultiGeomDfcmKernel(const MultiGeomConfig& config)
 std::vector<PredictorStats>
 MultiGeomDfcmKernel::runTrace(std::span<const TraceRecord> trace)
 {
-    return runTrace(trace, activeSimdBackend());
+    return runTrace(trace, bestSimdBackend());
 }
 
 std::vector<PredictorStats>
@@ -699,7 +305,7 @@ MultiGeomDfcmKernel::clearEntry(std::size_t entry)
 std::vector<PredictorStats>
 MultiGeomDfcmKernel::feedTrace(std::span<const TraceRecord> trace)
 {
-    return feedTrace(trace, activeSimdBackend());
+    return feedTrace(trace, bestSimdBackend());
 }
 
 std::vector<PredictorStats>
@@ -709,10 +315,7 @@ MultiGeomDfcmKernel::feedTrace(std::span<const TraceRecord> trace,
     const std::size_t n = cols_.size();
     std::vector<std::uint64_t> correct(n, 0);
 
-    if (MgKernelFn kernel = backendKernel(backend)) {
-        if (!gather_cols_.empty())
-            if (const MgKernelFn g = backendGatherKernel(backend))
-                kernel = g;
+    if (const MgKernelFn kernel = backendKernel(backend)) {
         detail::MgSimdView view = makeView(correct.data());
         view.stride_mask = stride_mask_;
         view.stride_bits = cfg_.stride_bits;
@@ -720,7 +323,7 @@ MultiGeomDfcmKernel::feedTrace(std::span<const TraceRecord> trace,
         view.dfcm = true;
         view.widen = cfg_.stride_bits != cfg_.value_bits;
         kernel(view, trace);
-        return gatherStats(trace, correct);
+        return columnStats(trace, correct);
     }
 
     // Scalar reference path.
@@ -760,46 +363,7 @@ MultiGeomDfcmKernel::feedTrace(std::span<const TraceRecord> trace,
     else
         walk([this](std::uint32_t stored) { return widen(stored); });
 
-    return gatherStats(trace, correct);
-}
-
-std::vector<PredictorStats>
-MultiGeomDfcmKernel::feedTracePacked(std::span<const TraceRecord> trace)
-{
-    return feedTracePacked(trace, activeSimdBackend());
-}
-
-std::vector<PredictorStats>
-MultiGeomDfcmKernel::feedTracePacked(std::span<const TraceRecord> trace,
-                                     SimdBackend backend,
-                                     PackedFeedInfo* info)
-{
-    std::vector<std::uint64_t> correct(cols_.size(), 0);
-    if (info)
-        *info = PackedFeedInfo{};
-    if (!trace.empty()) {
-        const std::size_t steps = packTrace(trace);
-        detail::MgPackedView view =
-                makePackedView(correct.data(), steps);
-        view.stride_mask = static_cast<std::uint32_t>(stride_mask_);
-        view.stride_bits = cfg_.stride_bits;
-        view.last = last_.data();
-        view.dfcm = true;
-        view.widen = cfg_.stride_bits != cfg_.value_bits;
-        const MgPackedFn kernel =
-                packed_simd_ok_ ? backendPackedKernel(backend) : nullptr;
-        if (kernel)
-            kernel(view);
-        else
-            runMgPackedScalar(view);
-        if (info) {
-            info->steps = steps;
-            info->records = trace.size();
-            (kernel ? info->gather_records : info->scalar_records) =
-                    trace.size();
-        }
-    }
-    return gatherStats(trace, correct);
+    return columnStats(trace, correct);
 }
 
 } // namespace vpred

@@ -38,15 +38,13 @@
  * tests/batch_kernel_test.cc.
  *
  * The per-record column loop exists in two shapes: the scalar
- * reference implementation in multi_geom.cc, and column-parallel
- * vector kernels (one translation unit per instruction set, see
- * core/simd.hh and multi_geom_simd.hh) that advance all history
- * lanes of a record in one vector op and software-prefetch the next
- * record's level-1 bank and level-2 slots. runTrace() dispatches to
- * the widest backend the build and the running CPU support
- * (core/cpu_features.hh; override with REPRO_SIMD); every backend is
- * bit-identical to the scalar path, so dispatch never changes
- * results — tests/simd_kernel_test.cc asserts this per backend over
+ * reference implementation in multi_geom.cc, and the AVX2 column
+ * kernel (core/simd.hh, multi_geom_simd.hh) that advances all history
+ * lanes of a record in one vector op and software-prefetches the
+ * next record's level-1 bank and level-2 slots. runTrace() dispatches
+ * to AVX2 when the build carries it and the running CPU executes it
+ * (core/cpu_features.hh); the two are bit-identical, so dispatch
+ * never changes results — tests/simd_kernel_test.cc asserts this over
  * the full Figure 10 grid.
  */
 
@@ -69,24 +67,7 @@ namespace vpred
 namespace detail
 {
 struct MgSimdView;
-struct MgPackedView;
 }
-
-/**
- * Observability counters for one feedTracePacked() call: how many
- * 16-lane steps the canonical packing produced, how many records rode
- * in them (mean lane occupancy = records / (steps * 16)), and which
- * execution path ran them — a gather-capable vector backend or the
- * scalar packed reference. The service aggregates these into the
- * BENCH_service.json "packing" section.
- */
-struct PackedFeedInfo
-{
-    std::uint64_t steps = 0;    //!< 16-lane steps executed
-    std::uint64_t records = 0;  //!< records scheduled (active lanes)
-    std::uint64_t gather_records = 0;  //!< ran on a gather backend
-    std::uint64_t scalar_records = 0;  //!< ran on the scalar reference
-};
 
 /**
  * One level-1 row of a sweep grid: the shared geometry plus the
@@ -160,34 +141,6 @@ class MultiGeomKernelBase
     void setEntryHists(std::size_t entry,
                        std::span<const std::uint32_t> hists);
 
-    /**
-     * Re-plan which columns the gather tier probes: columns with
-     * l2_bits >= @p bits batch their level-2 probes through the
-     * vector gather path (on gather-capable backends); 0 disables the
-     * tier. Construction seeds this from REPRO_GATHER_COLUMNS (see
-     * docs/api.md); this setter is the programmatic override the
-     * bench and the bit-identity tests use. Selection never changes
-     * results — the gather path is bit-identical to the scalar probe
-     * order — only which execution path runs.
-     */
-    void setGatherMinBits(unsigned bits);
-
-    /** The active gather threshold (0 = tier disabled). */
-    unsigned gatherMinBits() const { return gather_min_bits_; }
-
-    /** How many columns the current plan probes via gather. */
-    std::size_t gatherColumnCount() const { return gather_cols_.size(); }
-
-    /**
-     * Re-home every hot table (level-2 columns and the history bank)
-     * under an explicit arena mode, preserving contents. The big-L2
-     * benchmark uses this to time the plain-page std::vector
-     * -equivalent baseline and the huge-page arena path head-to-head
-     * in one process; results are unaffected — only where the bytes
-     * live changes.
-     */
-    void setArenaMode(ArenaMode mode);
-
   protected:
     /** Zero one entry's history bank (power-on state). */
     void clearEntryHists(std::size_t entry);
@@ -203,27 +156,6 @@ class MultiGeomKernelBase
      * The DFCM kernel fills in last/dfcm/widen after the fact.
      */
     detail::MgSimdView makeView(std::uint64_t* correct);
-
-    /**
-     * Build the canonical stream-packed schedule for @p trace into
-     * the kernel-owned scratch arrays, returning the step count.
-     *
-     * Records are grouped by level-1 entry in first-appearance order;
-     * wave j takes the j-th record of every group that still has one,
-     * and each wave is cut into 16-lane steps (a step never spans
-     * waves, so its lane entries are pairwise distinct — the packed
-     * kernels' no-collision precondition for the history scatter).
-     * Each group's records keep their trace order across waves, which
-     * is what makes per-stream level-1 state independent of batching.
-     * The schedule is a pure function of the (entry, value) sequence,
-     * so packed counters are deterministic for a given batch order.
-     */
-    std::size_t packTrace(std::span<const TraceRecord> trace);
-
-    /** Flatten kernel state + the schedule packTrace() just built.
-     *  Same contract as makeView; @p steps is packTrace()'s result. */
-    detail::MgPackedView makePackedView(std::uint64_t* correct,
-                                        std::size_t steps);
 
     MultiGeomConfig cfg_;
     std::uint64_t l1_mask_;
@@ -243,7 +175,7 @@ class MultiGeomKernelBase
     unsigned max_chunks_;
     // Per-lane FS R-k parameters as structure-of-arrays (padded_n_
     // entries, padding lanes inert) plus the level-2 base pointers —
-    // the vector kernels' constant inputs.
+    // the AVX2 kernel's constant inputs.
     std::vector<std::uint32_t> col_shifts_;
     std::vector<std::uint32_t> col_fold_bits_;
     std::vector<std::uint32_t> col_fold_masks_;
@@ -252,40 +184,6 @@ class MultiGeomKernelBase
     /** Columns whose level-2 table is big enough that software
      *  prefetch pays for itself (see kPrefetchMinL2Bytes). */
     std::vector<std::uint32_t> prefetch_cols_;
-
-    /** Split the plan computes from gather_min_bits_: columns probed
-     *  through the vector gather tier vs the scalar probe loop
-     *  (disjoint, together covering every real column). */
-    std::vector<std::uint32_t> gather_cols_;
-    std::vector<std::uint32_t> scalar_cols_;
-    unsigned gather_min_bits_ = 0;
-
-    /** Recompute gather_cols_/scalar_cols_ from gather_min_bits_. */
-    void planGatherColumns();
-
-    /** Whether every history-bank gather index fits a signed 32-bit
-     *  lane (l1Entries * padded_n bounded); when false the packed
-     *  entry points always use the scalar reference. */
-    bool packed_simd_ok_;
-
-    // packTrace() scratch, reused across calls. The per-entry stamp
-    // pair gives O(batch) grouping without clearing l1Entries() words
-    // per call (allocated lazily on the first packed feed).
-    std::vector<std::uint32_t> pack_stamp_;  //!< epoch per l1 entry
-    std::vector<std::uint32_t> pack_gid_;    //!< group id per l1 entry
-    std::uint32_t pack_epoch_ = 0;
-    std::vector<std::uint32_t> pk_group_entry_;   //!< group -> entry
-    std::vector<std::uint32_t> pk_group_count_;   //!< records in group
-    std::vector<std::uint32_t> pk_group_off_;     //!< grouped-area base
-    std::vector<std::uint32_t> pk_group_cursor_;  //!< distribution aid
-    std::vector<std::uint32_t> pk_values_;  //!< grouped masked values
-    std::vector<std::uint8_t> pk_fits_;     //!< grouped fits flags
-    std::vector<std::uint32_t> pk_alive_;   //!< groups still emitting
-    // The emitted schedule (steps x kPackLanes lane arrays + masks).
-    std::vector<std::uint32_t> pk_lane_entry_;
-    std::vector<std::uint32_t> pk_lane_value_;
-    std::vector<std::uint16_t> pk_step_active_;
-    std::vector<std::uint16_t> pk_step_fits_;
 };
 
 /**
@@ -303,7 +201,7 @@ class MultiGeomFcmKernel : public MultiGeomKernelBase
      * Evaluate the whole column over @p trace from power-on state,
      * returning one PredictorStats per l2_bits entry (column order).
      * State is reset on entry, so repeated calls are independent.
-     * Dispatches to activeSimdBackend(); results are bit-identical
+     * Dispatches to bestSimdBackend(); results are bit-identical
      * regardless of the backend chosen.
      */
     std::vector<PredictorStats> runTrace(std::span<const TraceRecord> trace);
@@ -328,25 +226,6 @@ class MultiGeomFcmKernel : public MultiGeomKernelBase
     /** As above on a specific backend. */
     std::vector<PredictorStats>
     feedTrace(std::span<const TraceRecord> trace, SimdBackend backend);
-
-    /**
-     * Incremental feed through the *stream-packed* tier: records from
-     * distinct level-1 entries execute side by side in 16-lane steps
-     * (see packTrace), with gather/scatter level-2 probes on capable
-     * backends. Each entry's own records stay in trace order, so
-     * per-entry level-1 state is bit-identical to feedTrace() for any
-     * batching; the returned counters follow the canonical packed
-     * interleave instead of trace order, and are identical across
-     * every backend (including the scalar packed reference).
-     */
-    std::vector<PredictorStats>
-    feedTracePacked(std::span<const TraceRecord> trace);
-
-    /** As above on a specific backend, optionally reporting packing
-     *  observability (@p info is overwritten, not accumulated). */
-    std::vector<PredictorStats>
-    feedTracePacked(std::span<const TraceRecord> trace,
-                    SimdBackend backend, PackedFeedInfo* info = nullptr);
 
     /** Reset all state to power-on zeros. */
     void reset() { resetState(); }
@@ -380,16 +259,6 @@ class MultiGeomDfcmKernel : public MultiGeomKernelBase
     /** As above on a specific backend. */
     std::vector<PredictorStats>
     feedTrace(std::span<const TraceRecord> trace, SimdBackend backend);
-
-    /** See MultiGeomFcmKernel::feedTracePacked. */
-    std::vector<PredictorStats>
-    feedTracePacked(std::span<const TraceRecord> trace);
-
-    /** As above on a specific backend, optionally reporting packing
-     *  observability (@p info is overwritten, not accumulated). */
-    std::vector<PredictorStats>
-    feedTracePacked(std::span<const TraceRecord> trace,
-                    SimdBackend backend, PackedFeedInfo* info = nullptr);
 
     /** Reset all state (histories, level-2 tables, last values). */
     void reset();

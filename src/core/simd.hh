@@ -1,21 +1,19 @@
 /**
  * @file
- * The portable fixed-width integer vector layer behind the SIMD
- * multi-geometry kernels — and the only file in the repository where
- * raw vendor intrinsics may appear (enforced by the repro-lint rule
- * portability/raw-intrinsic).
+ * The fixed-width integer vector layer behind the AVX2 column kernel
+ * of the multi-geometry sweeps — and the only file in the repository
+ * where raw vendor intrinsics may appear (enforced by the repro-lint
+ * rule portability/raw-intrinsic).
  *
- * The kernels need exactly the operations of the ShiftFoldHash
+ * The kernel needs exactly the operations of the ShiftFoldHash
  * insert, applied to a row of 32-bit lanes with *per-lane* shift
  * distances (each level-2 column has its own FS R-k parameters):
  * load/store, broadcast, XOR, AND-mask, and variable per-lane left /
  * right shifts — plus a read prefetch hint for the table walk. That
- * small surface is provided as a backend struct `Native`:
+ * small surface is provided as `Native`:
  *
- *     using Vec = ...;                  // kLanes x u32 register
- *     static constexpr unsigned kLanes; // 4 (SSE2/NEON), 8 (AVX2)
- *                                       // or 16 (AVX-512)
- *     static constexpr SimdBackend kBackend;
+ *     using Vec = __m256i;              // 8 x u32 register
+ *     static constexpr unsigned kLanes; // 8
  *     static Vec  loadu(const std::uint32_t* p);
  *     static void storeu(std::uint32_t* p, Vec v);
  *     static Vec  broadcast(std::uint32_t x);
@@ -24,58 +22,15 @@
  *     static Vec  shl(Vec v, Vec counts);  // counts must be < 32
  *     static Vec  shr(Vec v, Vec counts);  // counts must be < 32
  *
- * The gather-capable backends (AVX2, AVX-512) additionally provide
- * the stream-packed kernel surface (core/multi_geom_simd_impl.hh,
- * runMgPacked), which probes one shared level-2 table at kLanes
- * unrelated indices per step:
+ * `Native` exists only where the compiler targets AVX2: in
+ * multi_geom_simd_avx2.cc, which src/core/CMakeLists.txt compiles with
+ * -mavx2 and the dispatcher in core/multi_geom.cc calls only after the
+ * CPUID probe in core/cpu_features.cc. Other includers normally see
+ * just prefetchRead() and kMaxSimdLanes.
  *
- *     static Vec  add(Vec a, Vec b);        // per-lane u32 +
- *     static Vec  sub(Vec a, Vec b);        // per-lane u32 -
- *     static Vec  mul(Vec a, Vec b);        // per-lane u32 * (low 32)
- *     static std::uint32_t cmpeqMask(Vec a, Vec b); // lane bitmask
- *     static Vec  gather32(const std::uint32_t* base, Vec idx);
- *     static void scatter32(std::uint32_t* base, Vec idx, Vec val,
- *                           std::uint32_t mask);
- *     static Vec  rotateUp(Vec v, unsigned s);   // lane l <- (l-s)%W
- *     static Vec  blendMask(Vec a, Vec b, std::uint32_t mask);
- *     static std::uint32_t conflictMask(Vec v);  // lanes w/ earlier dup
- *
- * rotateUp, blendMask and conflictMask serve the gather column tier's
- * in-batch conflict forwarding (multi_geom_simd_impl.hh, runMgGather):
- * probing W consecutive records of *one* stream against a big level-2
- * table means a later lane may need the value an earlier lane just
- * stored. conflictMask names the lanes that have an earlier duplicate
- * (vpconflictd under AVX-512 — the runtime dispatch gates that TU on
- * CD, which every AVX-512F CPU carries; a rotate-compare loop on
- * AVX2), and the rotate-compare-blend loop then replays exactly those
- * read-after-write chains — zero iterations in the no-duplicate common
- * case. Each gather-capable backend also exposes `NativeCol`, the
- * vector type of the *column-parallel* history advance — 8 lanes even
- * under AVX-512, where Native is 16 but banks stay padded to
- * kMaxSimdLanes.
- *
- * scatter32 stores active lanes in ascending lane order, so when two
- * active lanes carry the same index the highest lane wins — the same
- * tie-break AVX-512 vpscatterdd implements in hardware, and the order
- * the scalar packed reference in core/multi_geom.cc replays. That
- * shared convention is what keeps packed counters bit-identical
- * across every backend.
- *
- * Which backend `Native` is resolves *per translation unit*: the
- * multi_geom_simd_<backend>.cc files define REPRO_SIMD_TU_<BACKEND>
- * before including this header (and are compiled with the matching
- * -m flags by src/core/CMakeLists.txt); any other includer gets the
- * widest instruction set its own compile flags advertise, falling
- * back to a plain-C++ scalar emulation. Each resolution lives in a
- * distinct inline namespace, so templates instantiated over `Native`
- * in differently-flagged translation units mangle differently — two
- * backends can coexist in one binary without ODR aliasing, which is
- * what makes the runtime dispatch in core/multi_geom.cc sound.
- *
- * Shift counts >= 32 are the caller's bug (hardware disagrees on the
- * semantics and scalar C++ makes it undefined); the kernels only ever
- * pass FS R-k parameters, which are bounded by the 28-bit level-2
- * index width.
+ * Shift counts >= 32 are the caller's bug (hardware and scalar C++
+ * disagree on the semantics); the kernel only ever passes FS R-k
+ * parameters, which are bounded by the 28-bit level-2 index width.
  */
 
 #ifndef DFCM_CORE_SIMD_HH
@@ -83,44 +38,8 @@
 
 #include <cstdint>
 
-#include "core/cpu_features.hh"
-
-#if defined(REPRO_SIMD_TU_AVX512) && !defined(__AVX512F__)
-#error "multi_geom_simd_avx512.cc must be compiled with -mavx512f"
-#endif
-#if defined(REPRO_SIMD_TU_AVX2) && !defined(__AVX2__)
-#error "multi_geom_simd_avx2.cc must be compiled with -mavx2"
-#endif
-#if defined(REPRO_SIMD_TU_SSE2) && !defined(__SSE2__)
-#error "multi_geom_simd_sse2.cc requires an SSE2 target (x86-64)"
-#endif
-#if defined(REPRO_SIMD_TU_NEON) && !defined(__ARM_NEON)
-#error "multi_geom_simd_neon.cc requires an Advanced-SIMD target"
-#endif
-
-#if defined(REPRO_SIMD_TU_AVX512)                                        \
-        || (!defined(REPRO_SIMD_TU_AVX2) && !defined(REPRO_SIMD_TU_SSE2) \
-            && !defined(REPRO_SIMD_TU_NEON) && defined(__AVX512F__))
-#define REPRO_SIMD_BACKEND_AVX512 1
-#elif defined(REPRO_SIMD_TU_AVX2)                                       \
-        || (!defined(REPRO_SIMD_TU_SSE2) && !defined(REPRO_SIMD_TU_NEON) \
-            && defined(__AVX2__))
-#define REPRO_SIMD_BACKEND_AVX2 1
-#elif defined(REPRO_SIMD_TU_SSE2)                                       \
-        || (!defined(REPRO_SIMD_TU_NEON) && defined(__SSE2__))
-#define REPRO_SIMD_BACKEND_SSE2 1
-#elif defined(REPRO_SIMD_TU_NEON) || defined(__ARM_NEON)
-#define REPRO_SIMD_BACKEND_NEON 1
-#else
-#define REPRO_SIMD_BACKEND_SCALAR 1
-#endif
-
-#if defined(REPRO_SIMD_BACKEND_AVX512)                                  \
-        || defined(REPRO_SIMD_BACKEND_AVX2)                             \
-        || defined(REPRO_SIMD_BACKEND_SSE2)
+#if defined(__AVX2__)
 #include <immintrin.h>
-#elif defined(REPRO_SIMD_BACKEND_NEON)
-#include <arm_neon.h>
 #endif
 
 namespace vpred::simd
@@ -138,437 +57,51 @@ prefetchRead(const void* p)
 #endif
 }
 
-#if defined(REPRO_SIMD_BACKEND_AVX512)
-
-inline namespace backend_avx512
-{
-
-/** 16 x u32 lanes. Used by the stream-packed kernel tier; the
- *  column-parallel tier keeps its 8-lane bank padding and dispatches
- *  AVX-512 to the AVX2 column kernel (core/multi_geom.cc). */
-struct Native
-{
-    using Vec = __m512i;
-    static constexpr unsigned kLanes = 16;
-    static constexpr SimdBackend kBackend = SimdBackend::Avx512;
-
-    static Vec
-    loadu(const std::uint32_t* p)
-    {
-        return _mm512_loadu_si512(p);
-    }
-    static void
-    storeu(std::uint32_t* p, Vec v)
-    {
-        _mm512_storeu_si512(p, v);
-    }
-    static Vec
-    broadcast(std::uint32_t x)
-    {
-        return _mm512_set1_epi32(static_cast<int>(x));
-    }
-    static Vec bxor(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
-    static Vec band(Vec a, Vec b) { return _mm512_and_si512(a, b); }
-    // Like gather32 below, the shifts use the full-mask forms: the
-    // unmasked intrinsics carry an undefined pass-through source that
-    // GCC's -Wmaybe-uninitialized flags under -Werror.
-    static Vec shl(Vec v, Vec counts)
-    {
-        return _mm512_mask_sllv_epi32(_mm512_setzero_si512(),
-                                      static_cast<__mmask16>(0xffff),
-                                      v, counts);
-    }
-    static Vec shr(Vec v, Vec counts)
-    {
-        return _mm512_mask_srlv_epi32(_mm512_setzero_si512(),
-                                      static_cast<__mmask16>(0xffff),
-                                      v, counts);
-    }
-    static Vec add(Vec a, Vec b) { return _mm512_add_epi32(a, b); }
-    static Vec sub(Vec a, Vec b) { return _mm512_sub_epi32(a, b); }
-    static Vec mul(Vec a, Vec b) { return _mm512_mullo_epi32(a, b); }
-    static std::uint32_t
-    cmpeqMask(Vec a, Vec b)
-    {
-        return static_cast<std::uint32_t>(
-                _mm512_cmpeq_epi32_mask(a, b));
-    }
-    static Vec
-    gather32(const std::uint32_t* base, Vec idx)
-    {
-        // The full-mask form, not _mm512_i32gather_epi32: the
-        // unmasked intrinsic's undefined pass-through source trips
-        // -Wmaybe-uninitialized inside GCC's intrinsic header under
-        // -Werror, and a zeroed source costs nothing.
-        return _mm512_mask_i32gather_epi32(
-                _mm512_setzero_si512(), static_cast<__mmask16>(0xffff),
-                idx, reinterpret_cast<const int*>(base), 4);
-    }
-    static void
-    scatter32(std::uint32_t* base, Vec idx, Vec val,
-              std::uint32_t mask)
-    {
-        // vpscatterdd: duplicate indices resolve to the highest
-        // active lane — the canonical packed store order.
-        _mm512_mask_i32scatter_epi32(reinterpret_cast<int*>(base),
-                                     static_cast<__mmask16>(mask),
-                                     idx, val, 4);
-    }
-    static Vec
-    rotateUp(Vec v, unsigned s)
-    {
-        // Result lane l = source lane (l - s) mod 16; the gather
-        // tier's conflict-forwarding primitive (runMgGather).
-        alignas(64) static constexpr std::uint32_t iota[16] = {
-                0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
-        const Vec idx = band(sub(loadu(iota), broadcast(s)),
-                             broadcast(15u));
-        // maskz with a full mask == plain vpermd, minus the
-        // _mm512_undefined_epi32 merge source GCC warns about.
-        return _mm512_maskz_permutexvar_epi32(__mmask16{0xffff}, idx, v);
-    }
-    static Vec
-    blendMask(Vec a, Vec b, std::uint32_t mask)
-    {
-        return _mm512_mask_blend_epi32(static_cast<__mmask16>(mask),
-                                       a, b);
-    }
-    static std::uint32_t
-    conflictMask(Vec v)
-    {
-        // Lanes equal to at least one *earlier* lane — vpconflictd's
-        // per-lane earlier-duplicate bitset, collapsed to a mask. The
-        // runtime dispatch gates this TU on AVX-512CD (cpu_features).
-        const Vec c = _mm512_conflict_epi32(v);
-        return _mm512_test_epi32_mask(c, c);
-    }
-};
-
-/**
- * 8 x u32 companion for the gather tier's history advance: per-entry
- * banks are padded to multiples of kMaxSimdLanes (8), so a 16-lane
- * advance would overrun them. -mavx512f implies AVX2, so the 256-bit
- * ops are available in this translation unit.
- */
-struct NativeCol
-{
-    using Vec = __m256i;
-    static constexpr unsigned kLanes = 8;
-    static constexpr SimdBackend kBackend = SimdBackend::Avx512;
-
-    static Vec
-    loadu(const std::uint32_t* p)
-    {
-        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    }
-    static void
-    storeu(std::uint32_t* p, Vec v)
-    {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-    }
-    static Vec
-    broadcast(std::uint32_t x)
-    {
-        return _mm256_set1_epi32(static_cast<int>(x));
-    }
-    static Vec bxor(Vec a, Vec b) { return _mm256_xor_si256(a, b); }
-    static Vec band(Vec a, Vec b) { return _mm256_and_si256(a, b); }
-    static Vec shl(Vec v, Vec counts)
-    {
-        return _mm256_sllv_epi32(v, counts);
-    }
-    static Vec shr(Vec v, Vec counts)
-    {
-        return _mm256_srlv_epi32(v, counts);
-    }
-};
-
-} // inline namespace backend_avx512
-
-#elif defined(REPRO_SIMD_BACKEND_AVX2)
-
-inline namespace backend_avx2
-{
-
-struct Native
-{
-    using Vec = __m256i;
-    static constexpr unsigned kLanes = 8;
-    static constexpr SimdBackend kBackend = SimdBackend::Avx2;
-
-    static Vec
-    loadu(const std::uint32_t* p)
-    {
-        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    }
-    static void
-    storeu(std::uint32_t* p, Vec v)
-    {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-    }
-    static Vec
-    broadcast(std::uint32_t x)
-    {
-        return _mm256_set1_epi32(static_cast<int>(x));
-    }
-    static Vec bxor(Vec a, Vec b) { return _mm256_xor_si256(a, b); }
-    static Vec band(Vec a, Vec b) { return _mm256_and_si256(a, b); }
-    static Vec shl(Vec v, Vec counts)
-    {
-        return _mm256_sllv_epi32(v, counts);
-    }
-    static Vec shr(Vec v, Vec counts)
-    {
-        return _mm256_srlv_epi32(v, counts);
-    }
-    static Vec add(Vec a, Vec b) { return _mm256_add_epi32(a, b); }
-    static Vec sub(Vec a, Vec b) { return _mm256_sub_epi32(a, b); }
-    static Vec mul(Vec a, Vec b) { return _mm256_mullo_epi32(a, b); }
-    static std::uint32_t
-    cmpeqMask(Vec a, Vec b)
-    {
-        return static_cast<std::uint32_t>(_mm256_movemask_ps(
-                _mm256_castsi256_ps(_mm256_cmpeq_epi32(a, b))));
-    }
-    static Vec
-    gather32(const std::uint32_t* base, Vec idx)
-    {
-        return _mm256_i32gather_epi32(
-                reinterpret_cast<const int*>(base), idx, 4);
-    }
-    // AVX2 has gathers but no scatters; a lane-order store loop keeps
-    // the duplicate-index tie-break identical to vpscatterdd (highest
-    // active lane wins).
-    static void
-    scatter32(std::uint32_t* base, Vec idx, Vec val,
-              std::uint32_t mask)
-    {
-        alignas(32) std::uint32_t i[8];
-        alignas(32) std::uint32_t v[8];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(i), idx);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(v), val);
-        for (unsigned l = 0; l < 8; ++l)
-            if (mask & (1u << l))
-                base[i[l]] = v[l];
-    }
-    static Vec
-    rotateUp(Vec v, unsigned s)
-    {
-        // Result lane l = source lane (l - s) mod 8; the gather
-        // tier's conflict-forwarding primitive (runMgGather).
-        alignas(32) static constexpr std::uint32_t iota[8] = {
-                0, 1, 2, 3, 4, 5, 6, 7};
-        const Vec idx = band(sub(loadu(iota), broadcast(s)),
-                             broadcast(7u));
-        return _mm256_permutevar8x32_epi32(v, idx);
-    }
-    static Vec
-    blendMask(Vec a, Vec b, std::uint32_t mask)
-    {
-        // Expand the lane bitmask to full-lane selectors; blendv picks
-        // by each byte's top bit, which cmpeq's all-ones lanes set.
-        alignas(32) static constexpr std::uint32_t bit[8] = {
-                1, 2, 4, 8, 16, 32, 64, 128};
-        const Vec bv = loadu(bit);
-        const Vec sel = _mm256_cmpeq_epi32(band(broadcast(mask), bv), bv);
-        return _mm256_blendv_epi8(a, b, sel);
-    }
-    static std::uint32_t
-    conflictMask(Vec v)
-    {
-        // No vpconflictd below AVX-512CD: accumulate every
-        // rotate-compare against earlier lanes. Seven fixed-shift
-        // permutes, no data-dependent branches.
-        std::uint32_t acc = 0;
-        for (unsigned s = 1; s < kLanes; ++s)
-            acc |= cmpeqMask(v, rotateUp(v, s)) & (0xffu << s);
-        return acc & 0xffu;
-    }
-};
-
-/** The column-parallel ops are the native width here: bank padding
- *  (kMaxSimdLanes) matches kLanes. */
-using NativeCol = Native;
-
-} // inline namespace backend_avx2
-
-#elif defined(REPRO_SIMD_BACKEND_SSE2)
-
-inline namespace backend_sse2
-{
-
-struct Native
-{
-    using Vec = __m128i;
-    static constexpr unsigned kLanes = 4;
-    static constexpr SimdBackend kBackend = SimdBackend::Sse2;
-
-    static Vec
-    loadu(const std::uint32_t* p)
-    {
-        return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    }
-    static void
-    storeu(std::uint32_t* p, Vec v)
-    {
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-    }
-    static Vec
-    broadcast(std::uint32_t x)
-    {
-        return _mm_set1_epi32(static_cast<int>(x));
-    }
-    static Vec bxor(Vec a, Vec b) { return _mm_xor_si128(a, b); }
-    static Vec band(Vec a, Vec b) { return _mm_and_si128(a, b); }
-
-    // SSE2 has no per-lane variable shifts (they arrived with AVX2);
-    // a stack round-trip keeps the backend correct on baseline
-    // x86-64 silicon. The other vector ops still pay their way, and
-    // the AVX2 backend is what the dispatcher prefers when it can.
-    static Vec
-    shl(Vec v, Vec counts)
-    {
-        alignas(16) std::uint32_t a[4], c[4];
-        _mm_store_si128(reinterpret_cast<__m128i*>(a), v);
-        _mm_store_si128(reinterpret_cast<__m128i*>(c), counts);
-        for (int i = 0; i < 4; ++i)
-            a[i] <<= (c[i] & 31u);
-        return _mm_load_si128(reinterpret_cast<const __m128i*>(a));
-    }
-    static Vec
-    shr(Vec v, Vec counts)
-    {
-        alignas(16) std::uint32_t a[4], c[4];
-        _mm_store_si128(reinterpret_cast<__m128i*>(a), v);
-        _mm_store_si128(reinterpret_cast<__m128i*>(c), counts);
-        for (int i = 0; i < 4; ++i)
-            a[i] >>= (c[i] & 31u);
-        return _mm_load_si128(reinterpret_cast<const __m128i*>(a));
-    }
-};
-
-using NativeCol = Native;
-
-} // inline namespace backend_sse2
-
-#elif defined(REPRO_SIMD_BACKEND_NEON)
-
-inline namespace backend_neon
-{
-
-struct Native
-{
-    using Vec = uint32x4_t;
-    static constexpr unsigned kLanes = 4;
-    static constexpr SimdBackend kBackend = SimdBackend::Neon;
-
-    static Vec loadu(const std::uint32_t* p) { return vld1q_u32(p); }
-    static void storeu(std::uint32_t* p, Vec v) { vst1q_u32(p, v); }
-    static Vec broadcast(std::uint32_t x) { return vdupq_n_u32(x); }
-    static Vec bxor(Vec a, Vec b) { return veorq_u32(a, b); }
-    static Vec band(Vec a, Vec b) { return vandq_u32(a, b); }
-    // NEON shifts left by a signed per-lane count; negating it gives
-    // the right shift.
-    static Vec
-    shl(Vec v, Vec counts)
-    {
-        return vshlq_u32(v, vreinterpretq_s32_u32(counts));
-    }
-    static Vec
-    shr(Vec v, Vec counts)
-    {
-        return vshlq_u32(v, vnegq_s32(vreinterpretq_s32_u32(counts)));
-    }
-};
-
-using NativeCol = Native;
-
-} // inline namespace backend_neon
-
-#else
-
-inline namespace backend_scalar
-{
-
-/** Plain-C++ emulation so the vector kernels compile (and can be
- *  exercised) on architectures without a dedicated backend. */
-struct Native
-{
-    struct Vec
-    {
-        std::uint32_t lane[4];
-    };
-    static constexpr unsigned kLanes = 4;
-    static constexpr SimdBackend kBackend = SimdBackend::Scalar;
-
-    static Vec
-    loadu(const std::uint32_t* p)
-    {
-        return {{p[0], p[1], p[2], p[3]}};
-    }
-    static void
-    storeu(std::uint32_t* p, Vec v)
-    {
-        for (unsigned i = 0; i < kLanes; ++i)
-            p[i] = v.lane[i];
-    }
-    static Vec
-    broadcast(std::uint32_t x)
-    {
-        return {{x, x, x, x}};
-    }
-    static Vec
-    bxor(Vec a, Vec b)
-    {
-        for (unsigned i = 0; i < kLanes; ++i)
-            a.lane[i] ^= b.lane[i];
-        return a;
-    }
-    static Vec
-    band(Vec a, Vec b)
-    {
-        for (unsigned i = 0; i < kLanes; ++i)
-            a.lane[i] &= b.lane[i];
-        return a;
-    }
-    static Vec
-    shl(Vec v, Vec counts)
-    {
-        for (unsigned i = 0; i < kLanes; ++i)
-            v.lane[i] <<= (counts.lane[i] & 31u);
-        return v;
-    }
-    static Vec
-    shr(Vec v, Vec counts)
-    {
-        for (unsigned i = 0; i < kLanes; ++i)
-            v.lane[i] >>= (counts.lane[i] & 31u);
-        return v;
-    }
-};
-
-using NativeCol = Native;
-
-} // inline namespace backend_scalar
-
-#endif
-
-/** The widest lane count the *column-parallel* tier uses; per-entry
- *  history banks are padded to a multiple of this so every backend
- *  can process a bank in whole vectors (core/multi_geom.hh).
- *  Deliberately stays 8 under AVX-512: 16-lane bank padding would
- *  double history memory for geometries that rarely have more than
- *  eight columns, and the AVX-512 dispatch reuses the AVX2 column
- *  kernel instead (core/multi_geom.cc). */
+/** Lanes per history-bank vector. Per-entry history banks are padded
+ *  to a multiple of this (core/multi_geom.hh), so the column kernel
+ *  processes a bank in whole vectors; the padding is also part of
+ *  the service's VPT2 snapshot layout, so it stays fixed at 8
+ *  whichever path runs. */
 inline constexpr unsigned kMaxSimdLanes = 8;
 
-/** The canonical step width of the stream-packed kernel tier: every
- *  packing (and every backend, including the scalar reference)
- *  schedules records in 16-lane steps, so packed counters do not
- *  depend on which backend executes the schedule. An AVX-512 step is
- *  one 512-bit vector; AVX2 runs the same step as two 256-bit
- *  half-vectors with the read/write phase ordering preserved. */
-inline constexpr unsigned kPackLanes = 16;
+#if defined(__AVX2__)
+
+struct Native
+{
+    using Vec = __m256i;
+    static constexpr unsigned kLanes = 8;
+
+    static Vec
+    loadu(const std::uint32_t* p)
+    {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    }
+    static void
+    storeu(std::uint32_t* p, Vec v)
+    {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+    }
+    static Vec
+    broadcast(std::uint32_t x)
+    {
+        return _mm256_set1_epi32(static_cast<int>(x));
+    }
+    static Vec bxor(Vec a, Vec b) { return _mm256_xor_si256(a, b); }
+    static Vec band(Vec a, Vec b) { return _mm256_and_si256(a, b); }
+    static Vec shl(Vec v, Vec counts)
+    {
+        return _mm256_sllv_epi32(v, counts);
+    }
+    static Vec shr(Vec v, Vec counts)
+    {
+        return _mm256_srlv_epi32(v, counts);
+    }
+};
+
+static_assert(Native::kLanes == kMaxSimdLanes,
+              "one AVX2 vector must cover one bank padding unit");
+
+#endif // __AVX2__
 
 } // namespace vpred::simd
 

@@ -64,13 +64,6 @@ struct SweepExecution
     std::string simd_backend = "scalar";  //!< active kernel backend
     unsigned vector_width = 64;           //!< backend vector bits
 
-    // Gather column tier in effect for this run (schema_version 8):
-    // the REPRO_GATHER_COLUMNS threshold the kernels resolved (0 =
-    // tier disabled) and how many columns across the run's geometries
-    // actually took the batched vpgatherdd probe path.
-    unsigned gather_min_bits = 0;        //!< resolved gather threshold
-    std::uint64_t gather_columns = 0;    //!< columns on the gather path
-
     /** Dominant path label: "multi-geometry", "fused", "virtual",
      *  "mixed", or "empty" for a zero-cell grid. */
     std::string path() const;

@@ -7,36 +7,33 @@
  * metadata (trace scale, worker count, wall time) — as one JSON file
  * named results/BENCH_<experiment>.json, so the accuracy/throughput
  * trajectory can be tracked across commits by diffing or ingesting
- * the files. Schema (schema_version 8; "execution", "metrics" and
+ * the files. Schema (schema_version 9; "execution", "metrics" and
  * addSection() objects appear only when set). Version 3 added the
  * trace-store fields to "execution": whether a persistent
  * REPRO_TRACE_DIR store was configured, how many traces it served
  * (hits) vs. regenerated (misses), and the wall time spent acquiring
  * traces. Version 4 added the SIMD dispatch fields: which
- * multi-geometry kernel backend ran ("scalar", "sse2", "avx2",
- * "neon") and its vector width in bits. Version 5 added named
- * top-level sections of numeric pairs via addSection() — e.g. the
- * prediction service's "service" object in BENCH_service.json.
- * Version 6 adds "avx512" to the possible simd_backend labels (512
- * vector_width) and, in BENCH_service.json, the stream-packing
- * observability sections "packing" and "drain_batches". Version 7
- * adds named top-level *tables* via addTable() — columns plus rows
- * of mixed string/number cells — used by BENCH_service.json's
- * "scaling" grid (one row per {backend, producers, shards} sweep
- * point), and the ingest-fabric sections "ingest_fabric" and
- * "producer_blocked". Version 8 adds the gather-tier fields to
- * "execution": the active gather threshold ("gather_min_bits", 0
- * when the tier is disabled) and how many level-2 columns the sweep
- * actually ran through the gather path ("gather_columns"):
+ * multi-geometry kernel backend ran and its vector width in bits.
+ * Version 5 added named top-level sections of numeric pairs via
+ * addSection() — e.g. the prediction service's "service" object in
+ * BENCH_service.json. Version 6 added the service's "drain_batches"
+ * section, and version 7 named top-level *tables* via addTable() —
+ * columns plus rows of mixed string/number cells — used by
+ * BENCH_service.json's "scaling" grid (one row per {producers,
+ * shards} sweep point), and the ingest-fabric sections
+ * "ingest_fabric" and "producer_blocked". Version 9 leaves
+ * simd_backend with two labels ("scalar", "avx2") and drops the
+ * gather-tier "execution" fields and the service's "packing"
+ * section that version 8 and earlier carried:
  *
  *     "scaling": {
- *       "columns": ["backend", "producers", "shards",
+ *       "columns": ["producers", "shards",
  *                   "records_per_sec", "p99_ingest_to_predict_ns"],
- *       "rows": [ ["avx512", 1, 1, 3.2e6, 1.1e7], ... ]
+ *       "rows": [ [1, 1, 3.2e6, 1.1e7], ... ]
  *     },
  *
  *     {
- *       "schema_version": 8,
+ *       "schema_version": 9,
  *       "experiment": "fig10_fcm_vs_dfcm",
  *       "trace_scale": 1.0,
  *       "jobs": 8,
@@ -46,8 +43,7 @@
  *         "trace_walks": 16, "sweep_wall_seconds": 1.208,
  *         "trace_store_enabled": true, "trace_store_hits": 8,
  *         "trace_store_misses": 0, "trace_acquisition_ms": 42.7,
- *         "simd_backend": "avx2", "vector_width": 256,
- *         "gather_min_bits": 18, "gather_columns": 24 },
+ *         "simd_backend": "avx2", "vector_width": 256 },
  *       "metrics": { "dfcm_multigeom_records_per_sec": 1.2e8 },
  *       "results": [
  *         { "predictor": "dfcm(l1=16,l2=12)", "kind": "dfcm",

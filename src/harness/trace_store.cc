@@ -59,7 +59,57 @@ class ScopedFd
     int fd_;
 };
 
+/** fsync @p path (a file or a directory), opened read-only. */
+void
+syncPath(const std::string& path)
+{
+    const ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+    if (fd.get() < 0 || ::fsync(fd.get()) != 0)
+        throw TraceIoError("cannot fsync " + path + ": " + errnoString());
+}
+
 } // namespace
+
+void
+writeFileAtomic(const std::string& path,
+                const std::function<void(std::ostream&)>& write)
+{
+    namespace fs = std::filesystem;
+    // Unique temp name per process and thread, so racing writers
+    // never share a temp file.
+    const std::string tmp = path + ".tmp."
+            + std::to_string(static_cast<long long>(::getpid())) + "."
+            + std::to_string(std::hash<std::thread::id>{}(
+                      std::this_thread::get_id()));
+    try {
+        {
+            std::ofstream out(tmp, std::ios::out | std::ios::binary
+                                           | std::ios::trunc);
+            if (!out)
+                throw TraceIoError("cannot open " + tmp
+                                   + " for writing");
+            write(out);
+            out.close();
+            if (!out)
+                throw TraceIoError("short write to " + tmp);
+        }
+        // Data before name: without this fsync a crash after the
+        // rename can leave an empty file under the final name.
+        syncPath(tmp);
+        std::error_code ec;
+        fs::rename(tmp, path, ec);
+        if (ec)
+            throw TraceIoError("cannot install " + path + ": "
+                               + ec.message());
+    } catch (...) {
+        std::error_code ec;
+        fs::remove(tmp, ec);
+        throw;
+    }
+    // Make the rename itself durable.
+    const fs::path dir = fs::path(path).parent_path();
+    syncPath(dir.empty() ? "." : dir.string());
+}
 
 void
 MappedTrace::unmap() noexcept
@@ -216,39 +266,15 @@ TraceStore::store(const std::string& workload, double scale,
         throw TraceIoError("cannot create trace-store directory " + dir_
                            + ": " + ec.message());
 
-    const std::string path = entryPath(workload, scale);
-    // Unique temp name per process and thread, so racing writers
-    // never share a temp file; the rename below is atomic, so the
-    // entry is always either absent or complete.
-    const std::string tmp = path + ".tmp."
-            + std::to_string(static_cast<long long>(::getpid())) + "."
-            + std::to_string(std::hash<std::thread::id>{}(
-                      std::this_thread::get_id()));
-    {
-        std::ofstream out(tmp, std::ios::out | std::ios::binary
-                                       | std::ios::trunc);
-        if (!out)
-            throw TraceIoError("cannot open " + tmp + " for writing");
-        Vpt2Meta meta;
-        meta.workload = workload;
-        meta.scale = scale;
-        meta.generator_version = workloads::kTraceGeneratorVersion;
-        meta.instructions = result.instructions;
-        meta.output = result.output;
+    Vpt2Meta meta;
+    meta.workload = workload;
+    meta.scale = scale;
+    meta.generator_version = workloads::kTraceGeneratorVersion;
+    meta.instructions = result.instructions;
+    meta.output = result.output;
+    writeFileAtomic(entryPath(workload, scale), [&](std::ostream& out) {
         writeTraceVpt2(out, result.trace, meta);
-        out.flush();
-        if (!out) {
-            fs::remove(tmp, ec);
-            throw TraceIoError("short write to " + tmp);
-        }
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        std::error_code ec2;
-        fs::remove(tmp, ec2);
-        throw TraceIoError("cannot install trace-store entry " + path
-                           + ": " + ec.message());
-    }
+    });
 }
 
 } // namespace vpred::harness

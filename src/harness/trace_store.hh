@@ -13,10 +13,11 @@
  * Entries are keyed on (workload name, exact trace scale,
  * workloads::kTraceGeneratorVersion): changing REPRO_TRACE_SCALE or
  * revising a workload kernel misses cleanly instead of serving a
- * stale trace. Writes go to a temp file in the same directory
- * followed by an atomic rename, so concurrent processes (or racing
- * threads) populating the same entry are safe — last rename wins,
- * and every rename installs a complete, checksummed file.
+ * stale trace. Writes go through writeFileAtomic(): a temp file in
+ * the same directory, fsynced, then atomically renamed, so
+ * concurrent processes (or racing threads) populating the same entry
+ * are safe — last rename wins, and every rename installs a complete,
+ * checksummed file.
  *
  * Readers validate the header and the FNV-1a payload checksum, then
  * hand out a MappedTrace whose records() span aliases the mapping
@@ -28,6 +29,8 @@
 #define DFCM_HARNESS_TRACE_STORE_HH
 
 #include <cstddef>
+#include <functional>
+#include <iosfwd>
 #include <optional>
 #include <span>
 #include <string>
@@ -51,6 +54,19 @@ static_assert(std::is_trivially_copyable_v<TraceRecord>,
 static_assert(offsetof(TraceRecord, pc) == 0
                       && offsetof(TraceRecord, value) == 8,
               "VPT2 stores pc at offset 0 and value at offset 8");
+
+/**
+ * Install @p path atomically and durably: @p write fills a temp file
+ * in the same directory (unique per process and thread), which is
+ * fsynced, renamed over @p path, and then the directory is fsynced.
+ * After a crash at any point @p path therefore holds either its
+ * previous contents (or nothing) or the complete new file. The temp
+ * file is removed on every failure path.
+ * @throws TraceIoError on an I/O failure; whatever @p write throws
+ *         propagates unchanged.
+ */
+void writeFileAtomic(const std::string& path,
+                     const std::function<void(std::ostream&)>& write);
 
 /**
  * A read-only memory mapping of one VPT2 store entry.
@@ -138,9 +154,8 @@ class TraceStore
                                     double scale) const;
 
     /**
-     * Persist @p result for (@p workload, @p scale): write a temp
-     * file in the store directory, then atomically rename it over
-     * the entry. Creates the directory if needed. No-op when
+     * Persist @p result for (@p workload, @p scale) through
+     * writeFileAtomic(). Creates the directory if needed. No-op when
      * disabled. @throws TraceIoError on I/O failure.
      */
     void store(const std::string& workload, double scale,

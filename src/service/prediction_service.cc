@@ -5,8 +5,6 @@
 #include "service/prediction_service.hh"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 
@@ -119,9 +117,6 @@ PredictionService::stats() const
         if (!s.correct.empty())
             agg.correct_col0 += s.correct[0];
         agg.flushes += s.flushes;
-        agg.packed_steps += s.packed_steps;
-        agg.gather_records += s.gather_records;
-        agg.scalar_records += s.scalar_records;
         agg.max_backlog = std::max(agg.max_backlog, s.max_backlog);
         agg.quota_grows += s.quota_grows;
         agg.quota_shrinks += s.quota_shrinks;
@@ -191,28 +186,11 @@ PredictionService::snapshotTo(const std::string& path) const
     meta.instructions = blocks.size() / shards_[0]->blockRecords();
     meta.output = geometryTag(cfg_);
 
-    // Same atomic discipline as the trace store: temp file in the
-    // target directory, then rename — a snapshot is always either
-    // absent or complete.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::out | std::ios::binary
-                                       | std::ios::trunc);
-        if (!out)
-            throw TraceIoError("cannot open " + tmp + " for writing");
+    // A snapshot is always either absent (or the previous one) or
+    // complete, even across a crash.
+    harness::writeFileAtomic(path, [&](std::ostream& out) {
         writeTraceVpt2(out, blocks, meta);
-        out.flush();
-        if (!out)
-            throw TraceIoError("short write to " + tmp);
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::error_code ec2;
-        std::filesystem::remove(tmp, ec2);
-        throw TraceIoError("cannot install snapshot " + path + ": "
-                           + ec.message());
-    }
+    });
 }
 
 void

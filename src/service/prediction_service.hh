@@ -24,9 +24,9 @@
  *
  * Snapshots serialize every known stream's relocatable level-1
  * state into a VPT2 container (the PR-3 trace store format): one
- * fixed-size block of TraceRecords per stream, written atomically
- * via TraceStore's temp-file/rename discipline and restored through
- * the zero-copy mmap path.
+ * fixed-size block of TraceRecords per stream, written atomically and
+ * durably via harness::writeFileAtomic and restored through the
+ * zero-copy mmap path.
  *
  * Threading: tryIngest()/flush()/noteBlocked() are hot-path and
  * lock-free; each Producer token must be used by one thread at a
@@ -66,8 +66,8 @@ struct ServiceStats
     std::uint64_t spilled_streams = 0;
     /** Correct predictions for the kernels' first level-2 column. */
     std::uint64_t correct_col0 = 0;
-    // Stream-packed feed observability (see ShardStats).
-    std::uint64_t flushes = 0;
+    std::uint64_t flushes = 0;  //!< segments fed to the kernels
+    // Always 0 (the kernel has one feed path); perfbench/ reads them.
     std::uint64_t packed_steps = 0;
     std::uint64_t gather_records = 0;
     std::uint64_t scalar_records = 0;
@@ -210,7 +210,8 @@ class PredictionService
 
     /**
      * Serialize every known stream's state to @p path as a VPT2
-     * container (atomic temp-file/rename write). Quiescent only.
+     * container (harness::writeFileAtomic: fsynced temp file, rename,
+     * directory fsync). Quiescent only.
      */
     void snapshotTo(const std::string& path) const;
 

@@ -1,6 +1,7 @@
 #include "service/service_config.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "core/env_util.hh"
 
@@ -13,9 +14,6 @@ ServiceConfig::fromEnv()
     ServiceConfig cfg;
     cfg.shards = static_cast<unsigned>(
             envUIntOr("REPRO_SERVICE_SHARDS", cfg.shards, 0, 256));
-    cfg.batch_records = envUIntOr("REPRO_SERVICE_BATCH",
-                                  cfg.batch_records, 1,
-                                  std::size_t{1} << 20);
 
     cfg.ring_capacity = envUIntOr("REPRO_SERVICE_RING_CAP",
                                   cfg.ring_capacity, 2,

@@ -13,11 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
-
-#include "core/cpu_features.hh"
 
 namespace vpred::service
 {
@@ -43,8 +39,6 @@ struct ServiceConfig
     unsigned value_bits = 32;
     unsigned stride_bits = 32;
     unsigned hash_shift = 5;
-    /** Initial reservation for the drain-side staging vectors. */
-    std::size_t batch_records = 1024;
 
     // Lock-free ingest fabric (one SPSC ring per producer per shard).
     /** Slots per ring; must be a power of two. */
@@ -63,16 +57,10 @@ struct ServiceConfig
     /** Per-drain p99 ingest-to-predict SLO driving quota shrink. */
     std::uint64_t drain_slo_ns = 50'000'000;
 
-    /** Packed-feed backend override; nullopt = activeSimdBackend()
-     *  at shard construction. Program-chosen (the scaling sweep sets
-     *  it per point), never an env knob. */
-    std::optional<SimdBackend> backend;
-
     /**
      * Defaults overridden by the environment:
      *   REPRO_SERVICE_SHARDS          shard count, 0 = hardware
      *                                 threads (0..256)
-     *   REPRO_SERVICE_BATCH           staging reservation (1..2^20)
      *   REPRO_SERVICE_RING_CAP        ring slots, power of two
      *                                 (2..2^20)
      *   REPRO_SERVICE_RING_PUBLISH    publish batch

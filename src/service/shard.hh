@@ -16,9 +16,7 @@
  * thread — and the shard's pump thread drain()s by sweeping all
  * rings into a staging vector, admitting streams (restoring spilled
  * state bit-identically when a cold stream returns), and feeding the
- * batch through the kernel's *stream-packed* tier (feedTracePacked):
- * records from distinct resident streams execute 16 to a vector step
- * with gather/scatter level-2 probes.
+ * batch through the kernel's feedTrace() in arrival order.
  *
  * The sweep is quota-bounded and adaptive: drain() moves at most
  * sweep_quota_ records per call, doubling the quota while rings run
@@ -33,7 +31,7 @@
  * eviction victim (its kernel state would be stale), and the segment
  * is flushed once the staged-stream count reaches half the slot
  * table — so under heavy stream churn the kernel still sees large
- * packed batches instead of one feed per eviction.
+ * batches instead of one feed per eviction.
  *
  * Concurrency contract: tryEnqueue()/flushProducer() are safe from
  * the owning producer's thread concurrently with everything;
@@ -47,9 +45,16 @@
  * lives in, which slot it occupies, which producer ring carried it,
  * or which other streams share the kernel — so it is invariant
  * across shard counts, ring capacities, producer counts and eviction
- * schedules. (Shared level-2 tables are deliberately outside the
- * contract: level-2 hit rates legitimately vary with co-residency,
- * exactly like aliasing in the paper's shared tables.)
+ * schedules.
+ *
+ * Level-2 semantics: the kernel sees every drained record in arrival
+ * order, and a spilled stream's level-1 state comes back exactly, so
+ * a shard's level-2 tables and per-column correct counts are those of
+ * one plain DFCM fed the shard's records in arrival order, with one
+ * private level-1 entry per stream. Level-2 hit rates therefore vary
+ * with co-residency and interleaving, exactly like aliasing in the
+ * paper's shared tables; tests/service_test.cc checks the counts
+ * against that reference kernel.
  */
 
 #ifndef DFCM_SERVICE_SHARD_HH
@@ -93,10 +98,7 @@ struct ShardStats
     std::uint64_t restores = 0;     //!< spilled streams re-admitted
     std::uint64_t max_backlog = 0;  //!< deepest summed ring occupancy
                                     //!< seen at drain entry
-    std::uint64_t flushes = 0;      //!< packed segments fed
-    std::uint64_t packed_steps = 0; //!< 16-lane steps executed
-    std::uint64_t gather_records = 0;  //!< records on a gather backend
-    std::uint64_t scalar_records = 0;  //!< records on the scalar path
+    std::uint64_t flushes = 0;      //!< segments fed to the kernel
     std::uint64_t quota_grows = 0;   //!< sweep-quota doublings
     std::uint64_t quota_shrinks = 0; //!< sweep-quota halvings
     /** Correct predictions per kernel column. */
@@ -193,7 +195,7 @@ class Shard
     void installStream(std::uint64_t stream, const StreamState& state);
 
   private:
-    /** Feed every record in pending_ through admit and the packed
+    /** Feed every record in pending_ through admit into the staged
      *  batch, with the two-stage prefetch pipeline. */
     void admitRange(std::uint64_t now_ns,
                     LatencyHistogram& drain_latency);
@@ -205,7 +207,6 @@ class Shard
 
     MultiGeomDfcmKernel kernel_;
     std::size_t capacity_;
-    SimdBackend backend_;  //!< packed-feed backend, resolved once
 
     // Resident-stream bookkeeping, indexed by kernel slot. The epoch
     // advances once per segment flush, so slot_epoch_[s] == epoch_

@@ -375,9 +375,9 @@ scalingDoc(const std::string& rows,
            const std::string& metrics_body =
                    "    \"svc_records_per_sec\": 4.0e6")
 {
-    return "{\n  \"schema_version\": 8,\n  \"experiment\": \"service\","
+    return "{\n  \"schema_version\": 9,\n  \"experiment\": \"service\","
            "\n  \"scaling\": {\n"
-           "    \"columns\": [\"backend\", \"producers\", \"shards\", "
+           "    \"columns\": [\"producers\", \"shards\", "
            "\"records\", \"records_per_sec\", "
            "\"p50_ingest_to_predict_ns\", \"p99_ingest_to_predict_ns\", "
            "\"hit_rate_col0\"],\n"
@@ -391,9 +391,9 @@ TEST(BenchCompareScaling, SynthesizesGatedMetricsPerRow)
 {
     std::vector<std::string> errors;
     const auto m = bench_compare::parseScalingMetrics(
-            scalingDoc("      [\"avx512\", 1, 1, 4e+06, 4.0e6, 1500, "
+            scalingDoc("      [1, 1, 4e+06, 4.0e6, 1500, "
                        "4000, 0.28],\n"
-                       "      [\"scalar\", 2, 2, 4e+06, 3.5e6, 2100, "
+                       "      [2, 2, 4e+06, 3.5e6, 2100, "
                        "8000, 0.28]"),
             "baseline", errors);
     ASSERT_TRUE(m.has_value()) << (errors.empty() ? "" : errors[0]);
@@ -401,9 +401,9 @@ TEST(BenchCompareScaling, SynthesizesGatedMetricsPerRow)
     // One gated throughput per row; the latency quantiles, records
     // and hit_rate columns stay out (regime-dependent or ungated).
     ASSERT_EQ(m->size(), 2u);
-    EXPECT_EQ((*m)[0].first, "scaling_avx512_p1_s1_records_per_sec");
+    EXPECT_EQ((*m)[0].first, "scaling_p1_s1_records_per_sec");
     EXPECT_DOUBLE_EQ((*m)[0].second, 4.0e6);
-    EXPECT_EQ((*m)[1].first, "scaling_scalar_p2_s2_records_per_sec");
+    EXPECT_EQ((*m)[1].first, "scaling_p2_s2_records_per_sec");
     EXPECT_DOUBLE_EQ((*m)[1].second, 3.5e6);
     EXPECT_TRUE(bench_compare::isThroughputMetric((*m)[0].first));
 }
@@ -422,7 +422,7 @@ TEST(BenchCompareScaling, RaggedRowIsAnError)
 {
     std::vector<std::string> errors;
     const auto m = bench_compare::parseScalingMetrics(
-            scalingDoc("      [\"avx512\", 1, 1, 4e+06, 4.0e6, 1500]"),
+            scalingDoc("      [1, 1, 4e+06, 4.0e6, 1500]"),
             "baseline", errors);
     EXPECT_FALSE(m.has_value());
     ASSERT_EQ(errors.size(), 1u);
@@ -433,7 +433,7 @@ TEST(BenchCompareScaling, NonNumericGatedCellIsAnError)
 {
     std::vector<std::string> errors;
     const auto m = bench_compare::parseScalingMetrics(
-            scalingDoc("      [\"avx512\", 1, 1, 4e+06, fast, 1500, "
+            scalingDoc("      [1, 1, 4e+06, fast, 1500, "
                        "4000, 0.28]"),
             "fresh", errors);
     EXPECT_FALSE(m.has_value());
@@ -443,23 +443,23 @@ TEST(BenchCompareScaling, NonNumericGatedCellIsAnError)
 TEST(BenchCompareScaling, RowRegressionFailsTheGate)
 {
     const std::string base = scalingDoc(
-            "      [\"avx512\", 1, 1, 4e+06, 4.0e6, 1500, 4000, 0.28],\n"
-            "      [\"avx512\", 2, 1, 4e+06, 4.2e6, 2100, 8000, 0.28]");
+            "      [1, 1, 4e+06, 4.0e6, 1500, 4000, 0.28],\n"
+            "      [2, 1, 4e+06, 4.2e6, 2100, 8000, 0.28]");
     // Headline metric holds; the 2-producer row's throughput drops
     // 40% — exactly the corner-of-the-curve regression the per-row
     // gate exists to catch.
     const std::string fresh = scalingDoc(
-            "      [\"avx512\", 1, 1, 4e+06, 4.0e6, 1500, 4000, 0.28],\n"
-            "      [\"avx512\", 2, 1, 4e+06, 2.5e6, 2100, 8000, 0.28]");
+            "      [1, 1, 4e+06, 4.0e6, 1500, 4000, 0.28],\n"
+            "      [2, 1, 4e+06, 2.5e6, 2100, 8000, 0.28]");
     const Comparison cmp = bench_compare::compare(base, fresh, 0.10);
     EXPECT_TRUE(cmp.errors.empty());
     EXPECT_TRUE(cmp.anyFailure());
     const MetricDelta* d =
-            find(cmp, "scaling_avx512_p2_s1_records_per_sec");
+            find(cmp, "scaling_p2_s1_records_per_sec");
     ASSERT_NE(d, nullptr);
     EXPECT_TRUE(d->regressed);
     const MetricDelta* ok =
-            find(cmp, "scaling_avx512_p1_s1_records_per_sec");
+            find(cmp, "scaling_p1_s1_records_per_sec");
     ASSERT_NE(ok, nullptr);
     EXPECT_FALSE(ok->regressed);
 }
@@ -470,14 +470,14 @@ TEST(BenchCompareScaling, RowLatencyQuantilesStayUngated)
     // gate stays green — a reduced-scale smoke sweep shifts tail
     // latency by regime, and gating it would fail every CI run.
     const std::string base = scalingDoc(
-            "      [\"avx512\", 1, 1, 4e+06, 4.0e6, 1500, 4000, 0.28]");
+            "      [1, 1, 4e+06, 4.0e6, 1500, 4000, 0.28]");
     const std::string fresh = scalingDoc(
-            "      [\"avx512\", 1, 1, 4e+06, 4.0e6, 1500, 12000, 0.28]");
+            "      [1, 1, 4e+06, 4.0e6, 1500, 12000, 0.28]");
     const Comparison cmp =
             bench_compare::compare(base, fresh, 0.10, 0.25);
     EXPECT_TRUE(cmp.errors.empty());
     EXPECT_FALSE(cmp.anyFailure());
-    EXPECT_EQ(find(cmp, "scaling_avx512_p1_s1_p99_ingest_to_predict_ns"),
+    EXPECT_EQ(find(cmp, "scaling_p1_s1_p99_ingest_to_predict_ns"),
               nullptr);
 }
 
@@ -487,15 +487,15 @@ TEST(BenchCompareScaling, SmokeSubsetComparesByAbsence)
     // the missing row is reported, never failed; the shared row still
     // gates.
     const std::string base = scalingDoc(
-            "      [\"avx512\", 1, 1, 4e+06, 4.0e6, 1500, 4000, 0.28],\n"
-            "      [\"scalar\", 4, 2, 4e+06, 3.0e6, 4600, 16000, 0.28]");
+            "      [1, 1, 4e+06, 4.0e6, 1500, 4000, 0.28],\n"
+            "      [4, 2, 4e+06, 3.0e6, 4600, 16000, 0.28]");
     const std::string fresh = scalingDoc(
-            "      [\"avx512\", 1, 1, 4e+06, 3.9e6, 1500, 4000, 0.28]");
+            "      [1, 1, 4e+06, 3.9e6, 1500, 4000, 0.28]");
     const Comparison cmp = bench_compare::compare(base, fresh, 0.10);
     EXPECT_TRUE(cmp.errors.empty());
     EXPECT_FALSE(cmp.anyFailure());
     const MetricDelta* gone =
-            find(cmp, "scaling_scalar_p4_s2_records_per_sec");
+            find(cmp, "scaling_p4_s2_records_per_sec");
     ASSERT_NE(gone, nullptr);
     EXPECT_FALSE(gone->fresh.has_value());
     EXPECT_FALSE(gone->regressed);
@@ -506,17 +506,16 @@ TEST(BenchCompareScaling, RoundTripsTheRealTableEmitter)
     vpred::harness::ResultsJsonWriter json("service", 1.0, 1);
     json.addMetric("svc_records_per_sec", 4.0e6);
     json.addTable("scaling",
-                  {"backend", "producers", "shards", "records",
+                  {"producers", "shards", "records",
                    "records_per_sec", "p50_ingest_to_predict_ns",
                    "p99_ingest_to_predict_ns", "hit_rate_col0"},
-                  {{std::string("avx2"), 2.0, 1.0, 4e6, 3.6e6, 2200.0,
-                    9100.0, 0.28}});
+                  {{2.0, 1.0, 4e6, 3.6e6, 2200.0, 9100.0, 0.28}});
     std::vector<std::string> errors;
     const auto m = bench_compare::parseScalingMetrics(json.toJson(),
                                                       "fresh", errors);
     ASSERT_TRUE(m.has_value()) << (errors.empty() ? "" : errors[0]);
     ASSERT_EQ(m->size(), 1u);
-    EXPECT_EQ((*m)[0].first, "scaling_avx2_p2_s1_records_per_sec");
+    EXPECT_EQ((*m)[0].first, "scaling_p2_s1_records_per_sec");
     EXPECT_DOUBLE_EQ((*m)[0].second, 3.6e6);
 }
 

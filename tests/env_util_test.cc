@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the checked environment-variable parsing layer
- * (core/env_util.hh) and the three call sites that predate the
- * parse_util migration: REPRO_TRACE_SCALE lives in harness_test.cc;
- * REPRO_BATCH_SWEEP and REPRO_SIMD are covered here together with
- * the generic helpers. The contract under test: unset/empty selects
+ * (core/env_util.hh) and the call sites that predate the parse_util
+ * migration: REPRO_TRACE_SCALE lives in harness_test.cc;
+ * REPRO_BATCH_SWEEP is covered here together with the generic
+ * helpers. The contract under test: unset/empty selects
  * the default, a valid in-range value is used verbatim, and
  * everything else — trailing garbage, out-of-range, negative where
  * unsigned, unrecognized flag spellings — exits with status 2 after
@@ -17,7 +17,6 @@
 
 #include <cstdlib>
 
-#include "core/cpu_features.hh"
 #include "harness/batch_sweep.hh"
 #include "service/service_config.hh"
 
@@ -134,10 +133,10 @@ TEST(BatchSweepEnvDeathTest, GarbageIsFatalNotSilentlyOn)
 TEST(ServiceEnv, ValidValuesConfigureTheService)
 {
     ScopedEnv shards("REPRO_SERVICE_SHARDS", "8");
-    ScopedEnv batch("REPRO_SERVICE_BATCH", "4096");
+    ScopedEnv quota("REPRO_SERVICE_RING_QUOTA_MIN", "4096");
     const service::ServiceConfig cfg = service::ServiceConfig::fromEnv();
     EXPECT_EQ(cfg.shards, 8u);
-    EXPECT_EQ(cfg.batch_records, 4096u);
+    EXPECT_EQ(cfg.sweep_quota_min, 4096u);
 }
 
 TEST(ServiceEnvDeathTest, MalformedShardsIsFatal)
@@ -149,26 +148,12 @@ TEST(ServiceEnvDeathTest, MalformedShardsIsFatal)
                 ::testing::ExitedWithCode(2), "REPRO_SERVICE_SHARDS");
 }
 
-TEST(ServiceEnvDeathTest, OutOfRangeBatchIsFatal)
+TEST(ServiceEnvDeathTest, OutOfRangeQuotaMinIsFatal)
 {
-    ScopedEnv e("REPRO_SERVICE_BATCH", "0");
+    ScopedEnv e("REPRO_SERVICE_RING_QUOTA_MIN", "0");
     EXPECT_EXIT(service::ServiceConfig::fromEnv(),
-                ::testing::ExitedWithCode(2), "REPRO_SERVICE_BATCH");
-}
-
-TEST(SimdEnvDeathTest, UnknownBackendNameIsFatal)
-{
-    // REPRO_SIMD=sse3 used to warn and silently dispatch to the best
-    // backend, measuring the wrong kernel.
-    ScopedEnv e("REPRO_SIMD", "sse3");
-    EXPECT_EXIT(activeSimdBackend(), ::testing::ExitedWithCode(2),
-                "REPRO_SIMD");
-}
-
-TEST(SimdEnv, EmptyStillSelectsBest)
-{
-    ScopedEnv e("REPRO_SIMD", "");
-    EXPECT_EQ(activeSimdBackend(), bestSimdBackend());
+                ::testing::ExitedWithCode(2),
+                "REPRO_SERVICE_RING_QUOTA_MIN");
 }
 
 } // namespace

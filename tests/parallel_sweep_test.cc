@@ -236,15 +236,12 @@ TEST(ResultsJson, SerializesSchemaFields)
     exec.acquisition_seconds = 0.25;
     exec.simd_backend = "avx2";
     exec.vector_width = 256;
-    exec.gather_min_bits = 18;
-    exec.gather_columns = 24;
     json.setExecution(exec);
     const std::string s = json.toJson();
-    EXPECT_NE(s.find("\"schema_version\": 8"), std::string::npos);
+    EXPECT_NE(s.find("\"schema_version\": 9"), std::string::npos);
     EXPECT_NE(s.find("\"simd_backend\": \"avx2\""), std::string::npos);
     EXPECT_NE(s.find("\"vector_width\": 256"), std::string::npos);
-    EXPECT_NE(s.find("\"gather_min_bits\": 18"), std::string::npos);
-    EXPECT_NE(s.find("\"gather_columns\": 24"), std::string::npos);
+    EXPECT_EQ(s.find("gather"), std::string::npos);
     EXPECT_NE(s.find("\"trace_store_enabled\": true"),
               std::string::npos);
     EXPECT_NE(s.find("\"trace_store_hits\": 1"), std::string::npos);
@@ -267,16 +264,16 @@ TEST(ResultsJson, SerializesTables)
 {
     ResultsJsonWriter json("unit_test_table", 1.0, 1);
     json.setWallSeconds(0.0);
-    json.addTable("scaling", {"backend", "producers", "rate"},
-                  {{"avx512", 1.0, 2.5e6}, {"scalar", 4.0, 1.25e6}});
+    json.addTable("scaling", {"label", "producers", "rate"},
+                  {{"first", 1.0, 2.5e6}, {"second", 4.0, 1.25e6}});
     json.addTable("empty_table", {"only_columns"}, {});
     const std::string s = json.toJson();
     EXPECT_NE(s.find("\"scaling\": {"), std::string::npos);
-    EXPECT_NE(s.find("\"columns\": [\"backend\", \"producers\","
+    EXPECT_NE(s.find("\"columns\": [\"label\", \"producers\","
                      " \"rate\"]"),
               std::string::npos);
-    EXPECT_NE(s.find("[\"avx512\", 1, 2500000]"), std::string::npos);
-    EXPECT_NE(s.find("[\"scalar\", 4, 1250000]"), std::string::npos);
+    EXPECT_NE(s.find("[\"first\", 1, 2500000]"), std::string::npos);
+    EXPECT_NE(s.find("[\"second\", 4, 1250000]"), std::string::npos);
     EXPECT_NE(s.find("\"empty_table\": {"), std::string::npos);
     EXPECT_NE(s.find("\"rows\": []"), std::string::npos);
 }

@@ -4,6 +4,7 @@
  * shard-count determinism contract on per-stream level-1 state, the
  * eviction -> snapshot -> restore bit-identity guarantee, the
  * spill/restore path against a single-stream reference kernel, the
+ * level-2 counts against one plain DFCM fed in arrival order, the
  * SlotMap and LatencyHistogram building blocks, and a
  * multi-producer ingest race. Lives in its own binary labelled
  * "concurrency" so the race runs under ThreadSanitizer.
@@ -161,6 +162,88 @@ TEST(ServiceDeterminism, SpilledStateMatchesSingleStreamReference)
                 << "stream " << s;
         EXPECT_EQ(got->last, ref.lastValue(0)) << "stream " << s;
     }
+}
+
+/**
+ * The level-2 oracle: one shard fed by one producer must count
+ * exactly what a plain MultiGeomDfcmKernel counts when fed the same
+ * records in ingest order, with each stream on a private level-1
+ * entry (pc = the stream's dense first-appearance index, l1_bits wide
+ * enough for every stream). Residency, eviction, spill and restore
+ * must all be invisible to level 2.
+ */
+void
+expectLevel2MatchesArrivalOrderReference(std::uint64_t n_streams,
+                                         bool expect_churn)
+{
+    const ServiceConfig cfg = tinyConfig(1);
+    PredictionService service(cfg);
+    Producer prod = service.registerProducer();
+
+    // A seeded arrival order (not round robin), fed in chunks so the
+    // run spans many drains and segment flushes.
+    constexpr std::uint64_t kRecords = 6000;
+    constexpr std::uint64_t kChunk = 500;
+    std::vector<std::uint64_t> steps(n_streams, 0);
+    std::vector<std::uint64_t> dense(n_streams, ~std::uint64_t{0});
+    std::uint64_t next_dense = 0;
+    ValueTrace reference_feed;
+    std::uint64_t x = 0x5eed;
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+        x = mixStreamId(x);
+        const std::uint64_t stream = x % n_streams;
+        const Value value = valueOf(stream, steps[stream]++);
+        if (dense[stream] == ~std::uint64_t{0})
+            dense[stream] = next_dense++;
+        reference_feed.push_back({Pc{dense[stream]}, value});
+        push(service, prod, stream, value, i);
+        if ((i + 1) % kChunk == 0) {
+            service.flush(prod);
+            while (service.pump(i) != 0) {
+            }
+        }
+    }
+    service.flush(prod);
+    while (service.pump(kRecords) != 0) {
+    }
+    service.unregisterProducer(prod);
+
+    const ServiceStats st = service.stats();
+    ASSERT_EQ(st.predictions, kRecords);
+    if (expect_churn) {
+        EXPECT_GT(st.evictions, 0u);
+        EXPECT_GT(st.restores, 0u);
+    } else {
+        EXPECT_EQ(st.evictions, 0u);
+    }
+
+    MultiGeomConfig ref_cfg;
+    ref_cfg.l1_bits = 1;
+    while ((std::uint64_t{1} << ref_cfg.l1_bits) < next_dense)
+        ++ref_cfg.l1_bits;
+    ref_cfg.value_bits = cfg.value_bits;
+    ref_cfg.stride_bits = cfg.stride_bits;
+    ref_cfg.hash_shift = cfg.hash_shift;
+    ref_cfg.l2_bits = cfg.l2_bits;
+    MultiGeomDfcmKernel ref(ref_cfg);
+    const std::vector<PredictorStats> want = ref.runTrace(reference_feed);
+    EXPECT_EQ(st.correct_col0, want[0].correct);
+    // Non-trivial: the streams are stride-predictable, so a correct
+    // model hits on most records and a reordered one drifts visibly.
+    EXPECT_GT(st.correct_col0, kRecords / 2);
+}
+
+TEST(ServiceLevel2, MatchesArrivalOrderReferenceAllResident)
+{
+    // 12 streams fit the 16 resident slots: no eviction at all.
+    expectLevel2MatchesArrivalOrderReference(12, false);
+}
+
+TEST(ServiceLevel2, MatchesArrivalOrderReferenceUnderChurn)
+{
+    // 60 streams against 16 resident slots: evictions and restores
+    // on a large share of the records.
+    expectLevel2MatchesArrivalOrderReference(60, true);
 }
 
 TEST(ServiceSnapshot, EvictSnapshotRestoreIsBitIdentical)

@@ -1,17 +1,15 @@
 /**
  * @file
- * SIMD-vs-scalar bit-identity for the multi-geometry kernels: every
- * backend this build carries (core/cpu_features.hh) must reproduce
- * the scalar reference path exactly — over the full Figure 10 l2
- * column on all paper workloads (reduced trace scale, CTest label
- * "perf"), over randomized geometries with a fixed-seed fuzzer, and
- * under the REPRO_SIMD environment override that forces dispatch
- * down to scalar.
+ * SIMD-vs-scalar bit-identity for the multi-geometry kernels: the
+ * AVX2 column kernel, wherever this build and CPU carry it
+ * (core/cpu_features.hh), must reproduce the scalar reference path
+ * exactly — over the full Figure 10 l2 column on all paper workloads
+ * (reduced trace scale, CTest label "perf") and over randomized
+ * geometries with a fixed-seed fuzzer.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
@@ -28,32 +26,6 @@ namespace
 {
 
 using namespace vpred;
-
-/** RAII environment-variable override. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char* name, const char* value) : name_(name)
-    {
-        const char* old = std::getenv(name);
-        had_old_ = old != nullptr;
-        if (had_old_)
-            old_ = old;
-        ::setenv(name, value, 1);
-    }
-    ~ScopedEnv()
-    {
-        if (had_old_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-  private:
-    const char* name_;
-    std::string old_;
-    bool had_old_ = false;
-};
 
 /** Backends to test against the scalar reference: everything this
  *  build carries beyond Scalar itself. */
@@ -77,6 +49,10 @@ expectBackendsMatchScalar(const MultiGeomConfig& geom,
             fcm.runTrace(trace, SimdBackend::Scalar);
     const std::vector<PredictorStats> dfcm_ref =
             dfcm.runTrace(trace, SimdBackend::Scalar);
+    // The default dispatch (bestSimdBackend()) is one of the backends
+    // below or the scalar path itself; it must agree either way.
+    EXPECT_EQ(fcm.runTrace(trace), fcm_ref);
+    EXPECT_EQ(dfcm.runTrace(trace), dfcm_ref);
     for (SimdBackend b : vectorBackends()) {
         SCOPED_TRACE(std::string("backend ") + simdBackendName(b));
         EXPECT_EQ(fcm.runTrace(trace, b), fcm_ref);
@@ -147,68 +123,11 @@ TEST(SimdKernel, RandomizedGeometryFuzzMatchesScalar)
     }
 }
 
-TEST(SimdKernel, ReproSimdZeroForcesScalarDispatch)
-{
-    ScopedEnv off("REPRO_SIMD", "0");
-    EXPECT_EQ(activeSimdBackend(), SimdBackend::Scalar);
-
-    // The dispatched runTrace() must now take the scalar path and
-    // still produce the reference results.
-    const ValueTrace trace = tracegen::makeMixedTrace(
-            {.stride_instructions = 6,
-             .constant_instructions = 2,
-             .context_instructions = 4,
-             .random_instructions = 1,
-             .seed = 99},
-            4096);
-    MultiGeomConfig geom;
-    geom.l1_bits = 8;
-    geom.l2_bits = harness::paperL2Bits();
-    MultiGeomDfcmKernel kernel(geom);
-    EXPECT_EQ(kernel.runTrace({trace.data(), trace.size()}),
-              kernel.runTrace({trace.data(), trace.size()},
-                              SimdBackend::Scalar));
-}
-
-TEST(SimdKernel, ReproSimdSelectsNamedBackend)
-{
-    for (SimdBackend b : availableSimdBackends()) {
-        ScopedEnv pin("REPRO_SIMD", simdBackendName(b));
-        EXPECT_EQ(activeSimdBackend(), b)
-                << "REPRO_SIMD=" << simdBackendName(b);
-    }
-    {
-        ScopedEnv best("REPRO_SIMD", "best");
-        EXPECT_EQ(activeSimdBackend(), bestSimdBackend());
-    }
-}
-
-TEST(SimdKernel, ReproSimdParsesAvx512)
-{
-    // "avx512" is a recognized REPRO_SIMD value on every build: where
-    // the backend runs it is selected, elsewhere the request degrades
-    // to the scalar kernels (warning once) instead of erroring out —
-    // the same contract as every other real backend name.
-    EXPECT_EQ(simdVectorBits(SimdBackend::Avx512), 512u);
-    EXPECT_STREQ(simdBackendName(SimdBackend::Avx512), "avx512");
-    ScopedEnv pin("REPRO_SIMD", "avx512");
-    if (simdBackendAvailable(SimdBackend::Avx512))
-        EXPECT_EQ(activeSimdBackend(), SimdBackend::Avx512);
-    else
-        EXPECT_EQ(activeSimdBackend(), SimdBackend::Scalar);
-}
-
 TEST(SimdKernel, UnavailableBackendFallsBackToScalar)
 {
-    // Requesting a backend this build/CPU cannot run must quietly use
-    // the scalar path, not crash or change results. NEON is never
-    // available on x86 builds and vice versa, so one of the two is a
-    // guaranteed-unavailable probe.
-    const SimdBackend unavailable =
-            simdBackendAvailable(SimdBackend::Neon) ? SimdBackend::Sse2
-                                                    : SimdBackend::Neon;
-    if (simdBackendAvailable(unavailable))
-        GTEST_SKIP() << "both ISA families available?";
+    // Requesting the AVX2 kernel where this build or CPU cannot run it
+    // must quietly take the scalar path, not crash or change results;
+    // where AVX2 runs, the request must still match scalar exactly.
     const ValueTrace trace = tracegen::makeMixedTrace(
             {.stride_instructions = 4,
              .constant_instructions = 2,
@@ -220,7 +139,8 @@ TEST(SimdKernel, UnavailableBackendFallsBackToScalar)
     geom.l1_bits = 6;
     geom.l2_bits = {8, 12};
     MultiGeomFcmKernel kernel(geom);
-    EXPECT_EQ(kernel.runTrace({trace.data(), trace.size()}, unavailable),
+    EXPECT_EQ(kernel.runTrace({trace.data(), trace.size()},
+                              SimdBackend::Avx2),
               kernel.runTrace({trace.data(), trace.size()},
                               SimdBackend::Scalar));
 }

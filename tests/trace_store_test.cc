@@ -4,8 +4,9 @@
  * TraceCache integration: VPT2 round-trips through disk, corrupt and
  * truncated entries are rejected, keying on scale and generator
  * version never serves a stale trace, warm lookups are zero-copy
- * views into the mapping, and racing cold populations run the
- * workload VM exactly once. Lives in its own binary (labelled
+ * views into the mapping, racing cold populations run the workload
+ * VM exactly once, and the atomic file install leaves no temp file
+ * behind on success or failure. Lives in its own binary (labelled
  * "concurrency") so the racing tests run under ThreadSanitizer.
  */
 
@@ -17,8 +18,12 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/trace_io.hh"
 #include "harness/trace_cache.hh"
@@ -191,6 +196,62 @@ openFdCount()
          fs::directory_iterator("/proc/self/fd"))
         ++n;
     return n;
+}
+
+/** Entries of @p dir whose name contains ".tmp". */
+std::vector<std::string>
+tempFiles(const std::string& dir)
+{
+    std::vector<std::string> out;
+    for (const fs::directory_entry& e : fs::directory_iterator(dir))
+        if (e.path().filename().string().find(".tmp")
+            != std::string::npos)
+            out.push_back(e.path().string());
+    return out;
+}
+
+TEST(WriteFileAtomic, InstallsBytesAndLeavesNoTempFile)
+{
+    TempDir tmp;
+    const std::string path = tmp.str() + "/entry.bin";
+    const std::string first(3000, 'a');
+    const std::string second = "replaced";
+    for (const std::string& bytes : {first, second}) {
+        writeFileAtomic(path, [&](std::ostream& out) { out << bytes; });
+        std::ifstream in(path, std::ios::binary);
+        const std::string got((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+        EXPECT_EQ(got, bytes);
+        EXPECT_TRUE(tempFiles(tmp.str()).empty());
+    }
+}
+
+TEST(WriteFileAtomic, FailedRenameLeavesNoTempFile)
+{
+    // A non-empty directory under the target name makes the rename
+    // fail after the temp file has been written and synced.
+    TempDir tmp;
+    const std::string path = tmp.str() + "/entry.bin";
+    fs::create_directories(path + "/occupied");
+    EXPECT_THROW(writeFileAtomic(path,
+                                 [](std::ostream& out) { out << "x"; }),
+                 TraceIoError);
+    EXPECT_TRUE(tempFiles(tmp.str()).empty());
+    EXPECT_TRUE(fs::is_directory(path + "/occupied"));
+}
+
+TEST(WriteFileAtomic, ThrowingWriterLeavesNoTempFile)
+{
+    TempDir tmp;
+    const std::string path = tmp.str() + "/entry.bin";
+    EXPECT_THROW(writeFileAtomic(path,
+                                 [](std::ostream& out) {
+                                     out << "partial";
+                                     throw std::runtime_error("boom");
+                                 }),
+                 std::runtime_error);
+    EXPECT_TRUE(tempFiles(tmp.str()).empty());
+    EXPECT_FALSE(fs::exists(path));
 }
 
 TEST(MappedTrace, SelfMoveAssignKeepsMappingIntact)

@@ -168,11 +168,10 @@ parseScalingMetrics(const std::string& json, const std::string& label,
                 return static_cast<std::ptrdiff_t>(i);
         return std::ptrdiff_t{-1};
     };
-    const std::ptrdiff_t backend_col = col_index("backend");
     const std::ptrdiff_t producers_col = col_index("producers");
     const std::ptrdiff_t shards_col = col_index("shards");
-    if (backend_col < 0 || producers_col < 0 || shards_col < 0)
-        return fail("is missing a backend/producers/shards column");
+    if (producers_col < 0 || shards_col < 0)
+        return fail("is missing a producers/shards column");
 
     const std::size_t rows_key = json.find("\"rows\"", cols_close);
     const std::size_t rows_open =
@@ -190,8 +189,8 @@ parseScalingMetrics(const std::string& json, const std::string& label,
         const std::size_t row_close = json.find(']', next);
         if (row_close == std::string::npos)
             return fail("has an unterminated row");
-        // Split the row's cells at commas (cells contain no nesting;
-        // backend names carry no commas).
+        // Split the row's cells at commas (cells contain no nesting
+        // and no commas).
         std::vector<std::string> cells;
         std::size_t cell_begin = next + 1;
         while (cell_begin < row_close) {
@@ -209,20 +208,13 @@ parseScalingMetrics(const std::string& json, const std::string& label,
         const auto cell_number = [&](std::size_t i) {
             return vpred::parseDouble(cells[i]);
         };
-        const std::string& backend_cell =
-                cells[static_cast<std::size_t>(backend_col)];
-        if (backend_cell.size() < 2 || backend_cell.front() != '"'
-            || backend_cell.back() != '"')
-            return fail("has a non-string backend cell '" + backend_cell
-                        + "'");
         const auto producers =
                 cell_number(static_cast<std::size_t>(producers_col));
         const auto shards =
                 cell_number(static_cast<std::size_t>(shards_col));
         if (!producers || !shards)
             return fail("has a non-numeric producers/shards cell");
-        const std::string stem = "scaling_"
-                + backend_cell.substr(1, backend_cell.size() - 2) + "_p"
+        const std::string stem = "scaling_p"
                 + std::to_string(static_cast<long long>(*producers))
                 + "_s"
                 + std::to_string(static_cast<long long>(*shards));

@@ -22,9 +22,9 @@
  * never breaks the gate against history.
  *
  * Documents carrying a "scaling" table (the service bench's
- * per-(backend, producers, shards) sweep) additionally gate each
+ * per-(producers, shards) sweep) additionally gate each
  * sweep point: every row's records_per_sec is synthesized into a
- * metric named scaling_<backend>_p<producers>_s<shards>_records_per_sec
+ * metric named scaling_p<producers>_s<shards>_records_per_sec
  * and flows through the same threshold machinery, so a throughput
  * regression in one corner of the committed scaling curve fails the
  * gate even when the headline metric holds. Rows only one side has
@@ -107,10 +107,10 @@ parseMetrics(const std::string& json, const std::string& label,
              std::vector<std::string>& errors);
 
 /**
- * Extract the "scaling" table (the service bench's per-(backend,
- * producers, shards) sweep) as synthesized gated metrics:
+ * Extract the "scaling" table (the service bench's per-(producers,
+ * shards) sweep) as synthesized gated metrics:
  *
- *     scaling_<backend>_p<producers>_s<shards>_records_per_sec
+ *     scaling_p<producers>_s<shards>_records_per_sec
  *
  * — one per row, so each sweep point's throughput flows through the
  * same threshold machinery as a top-level metric. The per-row

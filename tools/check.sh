@@ -32,6 +32,13 @@
 #            the baseline-refresh workflow.
 #   figures  regenerate every figure CSV in a scratch directory and
 #            byte-diff it against the committed results/ copies
+#   bench    the end-to-end benchmark's own checks (perfbench/): build
+#            .bench_build and run perfbench_tests, then every
+#            BENCHMARK.json workload for one second (--seed 1
+#            --trace 0) plus one traced service_hot run. perfbench
+#            exits non-zero when a sampled service stream disagrees
+#            with the reference kernel, a snapshot fails to round-trip
+#            or a sweep cell disagrees with runOn, failing the stage
 #
 # Usage:
 #   tools/check.sh              # everything
@@ -48,7 +55,7 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc)"
 STAGES=("$@")
-[ ${#STAGES[@]} -eq 0 ] && STAGES=(release lint asan tsan service perf figures)
+[ ${#STAGES[@]} -eq 0 ] && STAGES=(release lint asan tsan service perf figures bench)
 
 # Scratch dirs registered here are removed on any exit, including a
 # failed stage under `set -e` and SIGINT/SIGTERM. The guarded
@@ -136,7 +143,7 @@ if want service; then
     )
     [ -s "$SERVICE_DIR/results/BENCH_service.json" ] || {
         echo "service smoke did not emit BENCH_service.json" >&2; exit 1; }
-    # The reduced sweep (2 points on the active backend) proves the
+    # The reduced sweep (2 producer-count points) proves the
     # producer/thread harness works end to end; monotonicity is only
     # asserted on the full-scale committed run (EXPERIMENTS.md), not
     # on this noise-prone smoke shape.
@@ -228,6 +235,27 @@ if want figures; then
     [ "$fail" -eq 0 ] && echo "all regenerated figure CSVs are" \
                               "byte-identical to results/"
     [ "$fail" -eq 0 ]
+fi
+
+if want bench; then
+    note "bench: perfbench tests + one-second run of every workload"
+    # The same tree run.py builds; its unit tests are a separate
+    # (EXCLUDE_FROM_ALL) target.
+    cmake -S "$ROOT/perfbench" -B "$ROOT/.bench_build" \
+          -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake --build "$ROOT/.bench_build" -j "$JOBS" \
+          --target perfbench perfbench_tests
+    ctest --test-dir "$ROOT/.bench_build" --output-on-failure
+    for w in $(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(sys.stdin)["workloads"]))' \
+               < "$ROOT/BENCHMARK.json"); do
+        echo "  running $w"
+        python3 "$ROOT/perfbench/run.py" --workload "$w" --seed 1 \
+            --seconds 1 --trace 0
+    done
+    echo "  running service_hot (traced)"
+    python3 "$ROOT/perfbench/run.py" --workload service_hot --seed 1 \
+        --seconds 1 --trace 1
 fi
 
 note "check.sh: all requested stages passed (${STAGES[*]})"
