@@ -2,13 +2,12 @@
  * @file
  * Load generator for the always-on sharded prediction service.
  *
- * Drives REPRO_SERVICE_STREAMS concurrent value streams (default one
- * million; REPRO_SERVICE_SMOKE=1 selects a ~10k-stream smoke run for
- * CI) through a PredictionService for REPRO_SERVICE_ROUNDS rounds.
- * Each producer thread registers with the service and pushes into
- * its private SPSC rings; ring-full backpressure (not a flow-control
- * window) bounds in-flight memory, and producers account their
- * blocked time explicitly — each record's tick is re-stamped on
+ * Drives one million concurrent value streams (REPRO_SERVICE_SMOKE=1
+ * selects a 10k-stream smoke run for CI) through a PredictionService
+ * for 4 rounds. Each producer thread registers with the service and
+ * pushes into its private SPSC rings; ring-full backpressure (not a
+ * flow-control window) bounds in-flight memory, and producers account
+ * their blocked time explicitly — each record's tick is re-stamped on
  * retry, so the ingest-to-predict histogram measures the fabric and
  * the producer_blocked histogram measures the waits, instead of one
  * number folding both. Every stream follows a per-stream stride
@@ -18,10 +17,10 @@
  * continuously at full load.
  *
  * REPRO_SERVICE_SCALING=1 appends the thread-scaling sweep:
- * {1,2,4 producer threads} x {shard counts} points at
- * REPRO_SERVICE_SCALING_STREAMS streams each, emitted as the
- * "scaling" table (one row per point). Under REPRO_SERVICE_SMOKE=1
- * the sweep reduces to 2 points so CI stays bounded.
+ * {1,2,4 producer threads} x {shard counts} points at one million
+ * streams each, emitted as the "scaling" table (one row per point).
+ * Under REPRO_SERVICE_SMOKE=1 the sweep reduces to 2 points of 5k
+ * streams so CI stays bounded.
  *
  * Emits results/BENCH_service.json (schema_version 9): sustained
  * ingest records/sec as a gated "_records_per_sec" metric, p50/p99
@@ -209,41 +208,29 @@ main()
     const bool smoke = vpred::envFlagOr("REPRO_SERVICE_SMOKE", false);
     const bool scaling =
             vpred::envFlagOr("REPRO_SERVICE_SCALING", false);
-    const std::uint64_t n_streams = vpred::envUIntOr(
-            "REPRO_SERVICE_STREAMS", smoke ? 10'000 : 1'000'000, 1,
-            100'000'000);
-    const std::uint64_t rounds =
-            vpred::envUIntOr("REPRO_SERVICE_ROUNDS", 4, 1, 10'000);
+    const std::uint64_t n_streams = smoke ? 10'000 : 1'000'000;
+    const std::uint64_t rounds = 4;
 
     ServiceConfig cfg = ServiceConfig::fromEnv();
     cfg.l1_bits = smoke ? 10 : 14;
-    if (!vpred::envRaw("REPRO_SERVICE_RING_CAP")) {
-        // Size the rings for this bench's firehose the way l1_bits
-        // is sized for its stream population: deep enough that the
-        // drain sweeps stay as large as the old unbounded queue's
-        // swap batches (~32k records), so per-drain and per-segment
-        // fixed costs amortize. 64Ki slots x 24 B = 1.5 MiB/ring.
-        cfg.ring_capacity = 65536;
-    }
-    if (!vpred::envRaw("REPRO_SERVICE_RING_SLO_NS")) {
-        // The drain SLO bounds ingest-to-predict p99, which at this
-        // bench's ring depth is dominated by time *queued in the
-        // ring*: a saturated 64Ki ring is itself ~20 ms of work per
-        // producer. The library default (50 ms) is tuned for its
-        // default 4Ki rings; scale it with the deeper rings so the
-        // adaptive quota reacts to drains slowing down, not to the
-        // depth we deliberately configured.
-        cfg.drain_slo_ns = 250'000'000;
-    }
+    // Size the rings for this bench's firehose the way l1_bits is
+    // sized for its stream population: deep enough that the drain
+    // sweeps stay as large as the old unbounded queue's swap batches
+    // (~32k records), so per-drain and per-segment fixed costs
+    // amortize. 64Ki slots x 24 B = 1.5 MiB/ring.
+    cfg.ring_capacity = 65536;
+    // The drain SLO bounds ingest-to-predict p99, which at this
+    // bench's ring depth is dominated by time *queued in the ring*: a
+    // saturated 64Ki ring is itself ~20 ms of work per producer. The
+    // library default (50 ms) is tuned for its default 4Ki rings;
+    // scale it with the deeper rings so the adaptive quota reacts to
+    // drains slowing down, not to the depth we deliberately
+    // configured.
+    cfg.drain_slo_ns = 250'000'000;
     std::optional<PredictionService> service;
     service.emplace(cfg);
     const unsigned n_shards = service->shards();
-
-    const unsigned n_producers = static_cast<unsigned>(
-            vpred::envUIntOr("REPRO_SERVICE_PRODUCERS",
-                             std::min<std::uint64_t>(
-                                     4, std::max(1u, n_shards)),
-                             1, cfg.max_producers));
+    const unsigned n_producers = std::min(4u, std::max(1u, n_shards));
 
     std::cout << "service_load: " << n_streams << " streams x "
               << rounds << " rounds over " << n_shards
@@ -383,9 +370,7 @@ main()
         // (cold kernels) at a reduced stream population so the whole
         // grid stays tractable; the scaling claim reads the
         // fixed-shard producer column. Smoke keeps 2 points for CI.
-        const std::uint64_t sweep_streams = vpred::envUIntOr(
-                "REPRO_SERVICE_SCALING_STREAMS",
-                smoke ? 5'000 : 1'000'000, 1, 100'000'000);
+        const std::uint64_t sweep_streams = smoke ? 5'000 : 1'000'000;
         const std::uint64_t sweep_rounds = smoke ? 2 : 4;
         // Best-of-N like tools/check.sh's perf gate: a sweep point
         // shorter than ~1 s is at the mercy of scheduler noise on a
@@ -398,8 +383,7 @@ main()
         // amortized drains and fewer producer/consumer handoffs. At
         // the headline point's 64Ki rings a single producer already
         // saturates the drain path and the curve flattens into noise.
-        const std::size_t sweep_ring_capacity = vpred::envRaw(
-                "REPRO_SERVICE_RING_CAP") ? cfg.ring_capacity : 128;
+        const std::size_t sweep_ring_capacity = 128;
         std::vector<unsigned> producer_counts;
         std::vector<unsigned> shard_counts;
         if (smoke) {

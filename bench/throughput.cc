@@ -17,13 +17,7 @@
  * — verifies the paths agree bit-for-bit, prints a table, and emits
  * results/BENCH_throughput.json (records/sec and speedups under
  * "metrics") through the shared results_json emitter.
- *
- * Passing any google-benchmark flag (e.g. --benchmark_filter=.*) or
- * setting REPRO_GBENCH=1 additionally runs the microbenchmark suite
- * for interactive profiling.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
@@ -42,26 +36,12 @@
 #include "harness/sweep.hh"
 #include "harness/table_printer.hh"
 #include "harness/trace_cache.hh"
-#include "tracegen/mixer.hh"
 #include "workloads/workload.hh"
 
 namespace
 {
 
 using namespace vpred;
-
-const ValueTrace&
-benchTrace()
-{
-    static const ValueTrace trace = tracegen::makeMixedTrace(
-            {.stride_instructions = 24,
-             .constant_instructions = 6,
-             .context_instructions = 10,
-             .random_instructions = 2,
-             .seed = 20240607},
-            1 << 17);
-    return trace;
-}
 
 PredictorConfig
 columnConfig(PredictorKind kind, unsigned l2_bits)
@@ -89,16 +69,17 @@ runVirtualLoop(ValuePredictor& predictor, std::span<const TraceRecord> trace)
     return stats;
 }
 
-/** Best-of-N wall time of f() in seconds (f returns a checksum that
- *  is accumulated to keep the work observable). */
+/** Best-of-N wall time of f() in seconds. Every f() stores its
+ *  stats, which are cross-checked afterwards, so the work stays
+ *  observable. */
 template <class F>
 double
-bestSeconds(int repeats, std::uint64_t& checksum, F&& f)
+bestSeconds(int repeats, F&& f)
 {
     double best = 1e300;
     for (int r = 0; r < repeats; ++r) {
         const auto t0 = std::chrono::steady_clock::now();
-        checksum += f();
+        f();
         const double s = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - t0)
                                  .count();
@@ -129,27 +110,24 @@ compareColumn(PredictorKind kind, std::span<const TraceRecord> trace,
     constexpr int kRepeats = 3;
 
     std::vector<PredictorStats> virt_stats, fused_stats;
-    std::uint64_t sink = 0;
 
-    const double virt_s = bestSeconds(kRepeats, sink, [&] {
+    const double virt_s = bestSeconds(kRepeats, [&] {
         virt_stats.clear();
         for (unsigned l2 : l2s) {
             auto p = makePredictor(columnConfig(kind, l2));
             virt_stats.push_back(runVirtualLoop(*p, trace));
         }
-        return virt_stats.back().correct;
     });
     exec.cells += l2s.size();
     exec.virtual_cells += l2s.size();
     exec.trace_walks += l2s.size() * kRepeats;
 
-    const double fused_s = bestSeconds(kRepeats, sink, [&] {
+    const double fused_s = bestSeconds(kRepeats, [&] {
         fused_stats.clear();
         for (unsigned l2 : l2s) {
             auto p = makePredictor(columnConfig(kind, l2));
             fused_stats.push_back(runTrace(*p, trace));
         }
-        return fused_stats.back().correct;
     });
     exec.cells += l2s.size();
     exec.fused_cells += l2s.size();
@@ -161,13 +139,11 @@ compareColumn(PredictorKind kind, std::span<const TraceRecord> trace,
     const std::span<const TraceRecord> span{trace.data(), trace.size()};
     std::vector<PredictorStats> scalar_stats, multi_stats;
     const auto runBoth = [&](auto& kernel) {
-        const double scalar = bestSeconds(kRepeats, sink, [&] {
+        const double scalar = bestSeconds(kRepeats, [&] {
             scalar_stats = kernel.runTrace(span, SimdBackend::Scalar);
-            return scalar_stats.back().correct;
         });
-        const double simd = bestSeconds(kRepeats, sink, [&] {
+        const double simd = bestSeconds(kRepeats, [&] {
             multi_stats = kernel.runTrace(span);
-            return multi_stats.back().correct;
         });
         return std::pair{scalar, simd};
     };
@@ -184,7 +160,6 @@ compareColumn(PredictorKind kind, std::span<const TraceRecord> trace,
     exec.cells += 2 * l2s.size();
     exec.batched_cells += 2 * l2s.size();
     exec.trace_walks += 2 * kRepeats;
-    benchmark::DoNotOptimize(sink);
 
     for (std::size_t c = 0; c < l2s.size(); ++c) {
         if (virt_stats[c] != fused_stats[c] ||
@@ -228,24 +203,20 @@ compareFamily(PredictorKind kind, std::span<const TraceRecord> trace,
 {
     const PredictorConfig cfg = columnConfig(kind, 12);
     const std::string fam = kindName(kind);
-    std::uint64_t sink = 0;
     PredictorStats virt, fused;
 
-    const double virt_s = bestSeconds(3, sink, [&] {
+    const double virt_s = bestSeconds(3, [&] {
         auto p = makePredictor(cfg);
         virt = runVirtualLoop(*p, trace);
-        return virt.correct;
     });
-    const double fused_s = bestSeconds(3, sink, [&] {
+    const double fused_s = bestSeconds(3, [&] {
         auto p = makePredictor(cfg);
         fused = runTrace(*p, trace);
-        return fused.correct;
     });
     exec.cells += 2;
     exec.virtual_cells += 1;
     exec.fused_cells += 1;
     exec.trace_walks += 6;
-    benchmark::DoNotOptimize(sink);
     if (virt != fused) {
         std::cerr << "FATAL: " << fam
                   << ": fused path disagrees with virtual path\n";
@@ -257,93 +228,10 @@ compareFamily(PredictorKind kind, std::span<const TraceRecord> trace,
     json.addMetric(fam + "_fused_speedup_vs_virtual", virt_s / fused_s);
 }
 
-// --- google-benchmark microbenchmarks (interactive profiling) ------
-
-void
-runPredictor(benchmark::State& state, PredictorKind kind)
-{
-    PredictorConfig cfg;
-    cfg.kind = kind;
-    cfg.l1_bits = 16;
-    cfg.l2_bits = 12;
-    auto predictor = makePredictor(cfg);
-    const ValueTrace& trace = benchTrace();
-
-    std::uint64_t correct = 0;
-    for (auto _ : state) {
-        correct += runTrace(*predictor, trace).correct;
-        benchmark::DoNotOptimize(correct);
-    }
-    state.SetItemsProcessed(
-            static_cast<std::int64_t>(state.iterations() * trace.size()));
-}
-
-void BM_Lvp(benchmark::State& s) { runPredictor(s, PredictorKind::Lvp); }
-void BM_Stride(benchmark::State& s)
-{
-    runPredictor(s, PredictorKind::Stride);
-}
-void BM_TwoDelta(benchmark::State& s)
-{
-    runPredictor(s, PredictorKind::TwoDelta);
-}
-void BM_Fcm(benchmark::State& s) { runPredictor(s, PredictorKind::Fcm); }
-void BM_Dfcm(benchmark::State& s)
-{
-    runPredictor(s, PredictorKind::Dfcm);
-}
-void BM_PerfectHybrid(benchmark::State& s)
-{
-    runPredictor(s, PredictorKind::PerfectStrideDfcm);
-}
-
-void
-BM_DfcmVirtualLoop(benchmark::State& state)
-{
-    auto predictor = makePredictor(columnConfig(PredictorKind::Dfcm, 12));
-    const ValueTrace& trace = benchTrace();
-    std::uint64_t correct = 0;
-    for (auto _ : state) {
-        correct += runVirtualLoop(*predictor, trace).correct;
-        benchmark::DoNotOptimize(correct);
-    }
-    state.SetItemsProcessed(
-            static_cast<std::int64_t>(state.iterations() * trace.size()));
-}
-
-void
-BM_DfcmMultiGeomColumn(benchmark::State& state)
-{
-    MultiGeomConfig geom;
-    geom.l1_bits = 16;
-    geom.l2_bits = harness::paperL2Bits();
-    MultiGeomDfcmKernel kernel(geom);
-    const ValueTrace& trace = benchTrace();
-    std::uint64_t correct = 0;
-    for (auto _ : state) {
-        correct += kernel.runTrace({trace.data(), trace.size()})
-                           .back()
-                           .correct;
-        benchmark::DoNotOptimize(correct);
-    }
-    // One iteration evaluates the whole column: count cell-records.
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-            state.iterations() * trace.size() * geom.l2_bits.size()));
-}
-
-BENCHMARK(BM_Lvp);
-BENCHMARK(BM_Stride);
-BENCHMARK(BM_TwoDelta);
-BENCHMARK(BM_Fcm);
-BENCHMARK(BM_Dfcm);
-BENCHMARK(BM_PerfectHybrid);
-BENCHMARK(BM_DfcmVirtualLoop);
-BENCHMARK(BM_DfcmMultiGeomColumn);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     using harness::TablePrinter;
 
@@ -429,15 +317,5 @@ main(int argc, char** argv)
     json.setExecution(exec);
     if (json.write())
         std::cout << "\nwrote results/BENCH_throughput.json\n";
-
-    const char* gbench = std::getenv("REPRO_GBENCH");
-    if (argc > 1 || (gbench != nullptr && *gbench == '1')) {
-        benchmark::Initialize(&argc, argv);
-        benchmark::RunSpecifiedBenchmarks();
-        benchmark::Shutdown();
-    } else {
-        std::cout << "(pass --benchmark_filter=.* or set REPRO_GBENCH=1 "
-                     "for the google-benchmark suite)\n";
-    }
     return 0;
 }

@@ -213,7 +213,7 @@ main(int argc, char** argv)
     std::cout << "\n[" << configs.size() * workload_names.size()
               << " cells in " << TablePrinter::fmt(wall, 2) << " s; path "
               << exec.path() << ", " << exec.trace_walks
-              << " trace walks (REPRO_BATCH_SWEEP=0 disables batching)]\n";
+              << " trace walks]\n";
 
     if (json.write())
         std::cout << "wrote results/BENCH_" << out_name << ".json\n";

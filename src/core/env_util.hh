@@ -3,12 +3,11 @@
  * Checked environment-variable parsing with loud failure.
  *
  * Every REPRO_* knob used to have its own ad-hoc reader, and the
- * oldest (REPRO_TRACE_SCALE, REPRO_BATCH_SWEEP) predated the
- * parse_util.hh migration: a typo like
- * REPRO_TRACE_SCALE=0.5x or REPRO_BATCH_SWEEP=fales silently fell
- * back to the default, so a run you believed was scaled or batched
- * differently was not. That failure mode is worse than a crash — the
- * numbers look plausible and land in results/.
+ * oldest (REPRO_TRACE_SCALE) predated the parse_util.hh migration: a
+ * typo like REPRO_TRACE_SCALE=0.5x silently fell back to the
+ * default, so a run you believed was scaled differently was not.
+ * That failure mode is worse than a crash — the numbers look
+ * plausible and land in results/.
  *
  * These helpers make misconfiguration fatal: an unset (or empty)
  * variable selects the documented default, a well-formed value in
@@ -103,7 +102,7 @@ envUIntOr(const char* var, unsigned long long fallback,
 /**
  * Boolean from @p var, or @p fallback when unset. Accepts exactly
  * 0/1/on/off/true/false/yes/no (case-insensitive); anything else is
- * fatal — REPRO_BATCH_SWEEP=fales used to silently mean "on".
+ * fatal — a typo like "fales" must not silently mean "on".
  */
 inline bool
 envFlagOr(const char* var, bool fallback)

@@ -8,13 +8,9 @@
 
 #include "core/table_arena.hh"
 
-#include "core/env_util.hh"
-
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <new>
-#include <string>
 
 #include <sys/mman.h>
 
@@ -25,7 +21,7 @@ namespace table_arena
 namespace
 {
 
-/** Sanitizer builds default to plain new so redzones/instrumentation
+/** Sanitizer builds always use plain new so redzones/instrumentation
  *  cover every table byte; a raw mapping would hide them. */
 constexpr bool
 sanitizerBuild()
@@ -41,21 +37,6 @@ sanitizerBuild()
 #else
     return false;
 #endif
-}
-
-ArenaMode
-resolveMode()
-{
-    const auto raw = envRaw("REPRO_ARENA");
-    if (!raw)
-        return sanitizerBuild() ? ArenaMode::New : ArenaMode::Auto;
-    if (*raw == "auto")
-        return sanitizerBuild() ? ArenaMode::New : ArenaMode::Auto;
-    if (*raw == "mmap")
-        return ArenaMode::Mmap;
-    if (*raw == "new")
-        return ArenaMode::New;
-    envUsageError("REPRO_ARENA", raw->c_str(), "one of auto|mmap|new");
 }
 
 /** Map @p bytes rounded up to the huge-page granule, aligned to it,
@@ -98,40 +79,20 @@ allocPlain(std::size_t bytes)
 
 } // namespace
 
-ArenaMode
-activeMode()
-{
-    static const ArenaMode mode = resolveMode();
-    return mode;
-}
-
 ArenaBacking
-planBackingFor(std::size_t bytes, ArenaMode mode)
+planBackingFor(std::size_t bytes)
 {
     if (bytes == 0)
         return ArenaBacking::None;
-    switch (mode) {
-    case ArenaMode::New:
-        return ArenaBacking::New;
-    case ArenaMode::Mmap:
-        return ArenaBacking::Mmap;
-    case ArenaMode::Auto:
-        break;
-    }
-    return bytes >= kHugeThresholdBytes ? ArenaBacking::Mmap
-                                        : ArenaBacking::New;
-}
-
-ArenaBacking
-planBacking(std::size_t bytes)
-{
-    return planBackingFor(bytes, activeMode());
+    return bytes >= kHugeThresholdBytes && !sanitizerBuild()
+            ? ArenaBacking::Mmap
+            : ArenaBacking::New;
 }
 
 void*
-allocateWith(std::size_t bytes, ArenaMode mode, ArenaBacking& backing)
+allocate(std::size_t bytes, ArenaBacking& backing)
 {
-    backing = planBackingFor(bytes, mode);
+    backing = planBackingFor(bytes);
     if (backing == ArenaBacking::None)
         return nullptr;
     if (backing == ArenaBacking::Mmap) {
@@ -140,12 +101,6 @@ allocateWith(std::size_t bytes, ArenaMode mode, ArenaBacking& backing)
         backing = ArenaBacking::New;  // kernel refused; degrade
     }
     return allocPlain(bytes);
-}
-
-void*
-allocate(std::size_t bytes, ArenaBacking& backing)
-{
-    return allocateWith(bytes, activeMode(), backing);
 }
 
 void

@@ -34,9 +34,8 @@
  * disabled, old kernel) is silently tolerated — the mapping still
  * works on 4 KiB pages — and failure of mmap itself falls back to
  * the plain allocator. Smaller buffers use 64-byte-aligned operator
- * new. Sanitizer builds default to the plain-new mode so ASan
- * redzones and TSan instrumentation see every table byte
- * (REPRO_ARENA=new|mmap|auto overrides; see docs/api.md).
+ * new. Sanitizer builds always use plain new so ASan redzones and
+ * TSan instrumentation see every table byte.
  *
  * T must be trivially copyable and trivially destructible, with
  * all-bits-zero as its power-on value — the arena zero-fills with
@@ -64,20 +63,12 @@ enum class ArenaBacking
     Mmap,  //!< anonymous mapping, MADV_HUGEPAGE-hinted, lazy zero pages
 };
 
-/** The arena allocation policy (resolved from REPRO_ARENA). */
-enum class ArenaMode
-{
-    Auto,  //!< mmap for big buffers, new for small (sanitizers: new)
-    Mmap,  //!< force the mapping path for every eligible buffer
-    New,   //!< force plain allocation (the sanitizer-safe mode)
-};
-
 namespace table_arena
 {
 
-/** Buffers at least this big take the mapping path (in Auto/Mmap
- *  mode): one transparent huge page. Below it the TLB win is nil and
- *  page granularity would waste more than it saves. */
+/** Buffers at least this big take the mapping path (outside
+ *  sanitizer builds): one transparent huge page. Below it the TLB
+ *  win is nil and page granularity would waste more than it saves. */
 inline constexpr std::size_t kHugeThresholdBytes =
         std::size_t{2} * 1024 * 1024;
 
@@ -85,27 +76,14 @@ inline constexpr std::size_t kHugeThresholdBytes =
  *  path aligns to kHugeThresholdBytes so THP can promote. */
 inline constexpr std::size_t kAlignBytes = 64;
 
-/** The process-wide mode: REPRO_ARENA (auto/mmap/new), resolved once
- *  on first use; malformed values are fatal (exit 2). Sanitizer
- *  builds default to New instead of Auto. */
-ArenaMode activeMode();
+/** The planning rule: None for zero bytes; New below
+ *  kHugeThresholdBytes or in a sanitizer build; Mmap otherwise. */
+ArenaBacking planBackingFor(std::size_t bytes);
 
-/** The pure planning rule: resolved backing for a @p bytes-sized
- *  allocation under @p mode (None for zero bytes). Exposed so tests
- *  can pin the policy without touching the process environment. */
-ArenaBacking planBackingFor(std::size_t bytes, ArenaMode mode);
-
-/** planBackingFor under the active (REPRO_ARENA) mode. */
-ArenaBacking planBacking(std::size_t bytes);
-
-/** Allocate @p bytes zeroed bytes under an explicit @p mode; reports
+/** Allocate @p bytes zeroed bytes as planBackingFor() plans; reports
  *  the backing actually used (mmap refusal falls back to New). Never
  *  returns nullptr for nonzero @p bytes — allocation failure is
  *  fatal. */
-void* allocateWith(std::size_t bytes, ArenaMode mode,
-                   ArenaBacking& backing);
-
-/** allocateWith under the active (REPRO_ARENA) mode. */
 void* allocate(std::size_t bytes, ArenaBacking& backing);
 
 /** Release a buffer obtained from allocate(). */
@@ -160,33 +138,6 @@ class TableBuffer
     ArenaBacking backing() const { return backing_; }
 
     /**
-     * Pin this buffer to an explicit arena mode instead of the
-     * process-wide activeMode(), re-homing the current allocation
-     * (contents preserved) if its backing would change. This is how
-     * the big-L2 benchmark measures the plain-page std::vector
-     * -equivalent baseline and the huge-page arena path head-to-head
-     * in one process — activeMode() itself is resolved once and
-     * deliberately immutable.
-     */
-    void
-    setArenaMode(ArenaMode m)
-    {
-        mode_ = m;
-        mode_set_ = true;
-        if (capacity_ != 0
-            && table_arena::planBackingFor(capacity_ * sizeof(T), m)
-                       != backing_) {
-            // reallocate() ends in release(), which clears size_ for
-            // its resize() caller to re-set — restore it here or the
-            // re-homed buffer would report empty (and fillZero would
-            // silently stop resetting the table).
-            const std::size_t n = size_;
-            reallocate(capacity_);
-            size_ = n;
-        }
-    }
-
-    /**
      * Grow or shrink to @p n slots. Growth within capacity just
      * extends the view — under the mmap backing the new tail is
      * untouched kernel zero pages, so its first fault lands on the
@@ -233,9 +184,7 @@ class TableBuffer
     reallocate(std::size_t cap)
     {
         ArenaBacking backing = ArenaBacking::None;
-        void* p = table_arena::allocateWith(
-                cap * sizeof(T),
-                mode_set_ ? mode_ : table_arena::activeMode(), backing);
+        void* p = table_arena::allocate(cap * sizeof(T), backing);
         if (size_ != 0)
             std::memcpy(p, data_, size_ * sizeof(T));
         release();
@@ -263,16 +212,12 @@ class TableBuffer
         size_ = std::exchange(other.size_, 0);
         capacity_ = std::exchange(other.capacity_, 0);
         backing_ = std::exchange(other.backing_, ArenaBacking::None);
-        mode_ = other.mode_;
-        mode_set_ = other.mode_set_;
     }
 
     T* data_ = nullptr;
     std::size_t size_ = 0;
     std::size_t capacity_ = 0;
     ArenaBacking backing_ = ArenaBacking::None;
-    ArenaMode mode_ = ArenaMode::Auto;  //!< only read when mode_set_
-    bool mode_set_ = false;             //!< pinned by setArenaMode()
 };
 
 } // namespace vpred

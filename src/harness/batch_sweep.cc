@@ -3,19 +3,8 @@
 #include <map>
 #include <tuple>
 
-#include "core/env_util.hh"
-
 namespace vpred::harness
 {
-
-bool
-batchSweepEnabled()
-{
-    // Anything but a recognized boolean is fatal: REPRO_BATCH_SWEEP
-    // used to treat every unrecognized string ("fales", "OFF ") as
-    // "on", silently running the path the user tried to disable.
-    return envFlagOr("REPRO_BATCH_SWEEP", true);
-}
 
 bool
 batchableConfig(const PredictorConfig& config)
@@ -27,16 +16,9 @@ batchableConfig(const PredictorConfig& config)
 }
 
 BatchPlan
-planBatchSweep(const std::vector<PredictorConfig>& configs, bool enabled)
+planBatchSweep(const std::vector<PredictorConfig>& configs)
 {
     BatchPlan plan;
-    if (!enabled) {
-        plan.singles.resize(configs.size());
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            plan.singles[i] = i;
-        return plan;
-    }
-
     // Group by everything but l2_bits, preserving first-appearance
     // order so the plan (and therefore any scheduling) is
     // deterministic. stride_bits only matters for the DFCM.

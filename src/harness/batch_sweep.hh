@@ -11,9 +11,6 @@
  * on the per-config path. The plan covers each grid index exactly
  * once, so scattering results back preserves grid order and the
  * output is bit-identical to the unbatched sweep.
- *
- * Batching is on by default and can be disabled by setting
- * REPRO_BATCH_SWEEP=0 (or "off"/"false") in the environment.
  */
 
 #ifndef DFCM_HARNESS_BATCH_SWEEP_HH
@@ -28,11 +25,6 @@
 
 namespace vpred::harness
 {
-
-/** Multi-geometry batching toggle from REPRO_BATCH_SWEEP
- *  (default on; 0/off/false/no disables, 1/on/true/yes enables;
- *  anything else is fatal — see core/env_util.hh). */
-bool batchSweepEnabled();
 
 /** True iff @p config can be evaluated by a multi-geometry kernel
  *  (plain FCM/DFCM with immediate update). */
@@ -69,11 +61,9 @@ struct BatchPlan
 
 /**
  * Group @p configs into multi-geometry columns. A group needs at
- * least two members (a lone config gains nothing from the kernel);
- * with @p enabled false everything lands in singles.
+ * least two members (a lone config gains nothing from the kernel).
  */
-BatchPlan planBatchSweep(const std::vector<PredictorConfig>& configs,
-                         bool enabled = batchSweepEnabled());
+BatchPlan planBatchSweep(const std::vector<PredictorConfig>& configs);
 
 /** Evaluate one group over one trace view (an owned ValueTrace
  *  converts implicitly; memory-mapped spans run with no copy):

@@ -130,11 +130,11 @@ class ThreadPool
  * All workloads are pre-warmed into the TraceCache first (also in
  * parallel). FCM/DFCM configs that differ only in l2_bits are routed
  * as whole columns through the single-pass multi-geometry kernels
- * (see harness/batch_sweep.hh; disable with REPRO_BATCH_SWEEP=0);
- * every remaining (config, workload) cell runs as one per-config
- * task. Results come back as one SuiteResult per config, in config
- * order, with per_workload in workload order — bit-identical to a
- * serial runSuite() loop over the same grid.
+ * (see harness/batch_sweep.hh); every remaining (config, workload)
+ * cell runs as one per-config task. Results come back as one
+ * SuiteResult per config, in config order, with per_workload in
+ * workload order — bit-identical to a serial runSuite() loop over
+ * the same grid.
  */
 class ParallelSweep
 {

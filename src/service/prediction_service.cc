@@ -35,6 +35,36 @@ geometryTag(const ServiceConfig& cfg)
     return tag;
 }
 
+/** @p cfg, or std::invalid_argument naming the first field outside
+ *  its ServiceConfig bounds. Release builds compile out SpscRing's
+ *  asserts, so this is the only guard against, e.g., a
+ *  non-power-of-two ring silently overwriting records. */
+const ServiceConfig&
+checked(const ServiceConfig& cfg)
+{
+    const auto require = [](bool ok, const char* what) {
+        if (!ok)
+            throw std::invalid_argument(
+                    std::string("ServiceConfig::") + what);
+    };
+    const std::size_t cap = cfg.ring_capacity;
+    require(cap >= 2 && cap <= (std::size_t{1} << 20)
+                    && (cap & (cap - 1)) == 0,
+            "ring_capacity must be a power of two in [2, 2^20]");
+    require(cfg.publish_batch >= 1 && cfg.publish_batch <= cap,
+            "publish_batch must be in [1, ring_capacity]");
+    require(cfg.max_producers >= 1 && cfg.max_producers <= 1024,
+            "max_producers must be in [1, 1024]");
+    require(cfg.sweep_quota_min >= 64
+                    && cfg.sweep_quota_min <= (std::size_t{1} << 24),
+            "sweep_quota_min must be in [64, 2^24]");
+    require(cfg.sweep_quota_max >= cfg.sweep_quota_min
+                    && cfg.sweep_quota_max <= (std::size_t{1} << 24),
+            "sweep_quota_max must be in [sweep_quota_min, 2^24]");
+    require(cfg.drain_slo_ns >= 1, "drain_slo_ns must be at least 1");
+    return cfg;
+}
+
 unsigned
 resolveShards(unsigned configured)
 {
@@ -47,7 +77,7 @@ resolveShards(unsigned configured)
 } // namespace
 
 PredictionService::PredictionService(const ServiceConfig& cfg)
-    : cfg_(cfg), pool_(resolveShards(cfg.shards))
+    : cfg_(checked(cfg)), pool_(resolveShards(cfg.shards))
 {
     const unsigned n = resolveShards(cfg.shards);
     shards_.reserve(n);
@@ -68,7 +98,7 @@ PredictionService::registerProducer()
             next_producer_.load(std::memory_order_relaxed);
     if (id >= cfg_.max_producers)
         throw std::length_error(
-                "producer limit reached (REPRO_SERVICE_RING_PRODUCERS="
+                "producer limit reached (ServiceConfig::max_producers="
                 + std::to_string(cfg_.max_producers)
                 + "); ring slots are never reused");
     next_producer_.store(id + 1, std::memory_order_relaxed);

@@ -124,6 +124,9 @@ class Producer
 class PredictionService
 {
   public:
+    /** @throws std::invalid_argument, naming the field, when a
+     *  fabric or drain field of @p cfg is outside the bounds
+     *  documented in ServiceConfig. */
     explicit PredictionService(const ServiceConfig& cfg);
     ~PredictionService();
 

@@ -4,15 +4,13 @@
  * predictAndUpdate overrides must match the composed
  * predict-then-update discipline record by record, and the
  * multi-geometry kernels must reproduce the per-config sweep
- * bit-identically — including over the full Figure 10 grid on all
- * paper workloads (at a reduced trace scale so the suite stays a
- * fast smoke test; labelled "perf" in CTest).
+ * bit-identically (labelled "perf" in CTest). The sweep-level
+ * comparison over the Figure 10 grid lives in parallel_sweep_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <span>
 #include <vector>
 
@@ -312,8 +310,7 @@ TEST(MultiGeomKernel, FcmChunkedFeedMatchesSingleRun)
 TEST(BatchPlan, GroupsFig10GridIntoTwoColumns)
 {
     const auto configs = fig10Grid();
-    const harness::BatchPlan plan =
-            harness::planBatchSweep(configs, /*enabled=*/true);
+    const harness::BatchPlan plan = harness::planBatchSweep(configs);
     ASSERT_EQ(plan.groups.size(), 2u);
     EXPECT_TRUE(plan.singles.empty());
     EXPECT_EQ(plan.batchedConfigs(), configs.size());
@@ -325,11 +322,6 @@ TEST(BatchPlan, GroupsFig10GridIntoTwoColumns)
             EXPECT_EQ(c.l2_bits, g.geom.l2_bits[j]);
         }
     }
-
-    const harness::BatchPlan off =
-            harness::planBatchSweep(configs, /*enabled=*/false);
-    EXPECT_TRUE(off.groups.empty());
-    EXPECT_EQ(off.singles.size(), configs.size());
 }
 
 TEST(BatchPlan, LeavesUnbatchableConfigsAlone)
@@ -348,87 +340,10 @@ TEST(BatchPlan, LeavesUnbatchableConfigsAlone)
     wide.value_bits = 64;                // wider than narrow storage
     configs.push_back(wide);
 
-    const harness::BatchPlan plan =
-            harness::planBatchSweep(configs, /*enabled=*/true);
+    const harness::BatchPlan plan = harness::planBatchSweep(configs);
     ASSERT_EQ(plan.groups.size(), 2u);
     EXPECT_EQ(plan.batchedConfigs(), fig10Grid().size());
     EXPECT_EQ(plan.singles.size(), 4u);
-}
-
-/** RAII environment-variable override. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char* name, const char* value) : name_(name)
-    {
-        const char* old = std::getenv(name);
-        had_old_ = old != nullptr;
-        if (had_old_)
-            old_ = old;
-        ::setenv(name, value, 1);
-    }
-    ~ScopedEnv()
-    {
-        if (had_old_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-  private:
-    const char* name_;
-    std::string old_;
-    bool had_old_ = false;
-};
-
-void
-expectSameResults(const std::vector<harness::SuiteResult>& got,
-                  const std::vector<harness::SuiteResult>& want)
-{
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        SCOPED_TRACE(want[i].predictor);
-        EXPECT_EQ(got[i].predictor, want[i].predictor);
-        EXPECT_EQ(got[i].storage_bits, want[i].storage_bits);
-        EXPECT_EQ(got[i].total, want[i].total);
-        ASSERT_EQ(got[i].per_workload.size(),
-                  want[i].per_workload.size());
-        for (std::size_t w = 0; w < got[i].per_workload.size(); ++w) {
-            EXPECT_EQ(got[i].per_workload[w].workload,
-                      want[i].per_workload[w].workload);
-            EXPECT_EQ(got[i].per_workload[w].stats,
-                      want[i].per_workload[w].stats);
-            EXPECT_EQ(got[i].per_workload[w].storage_bits,
-                      want[i].per_workload[w].storage_bits);
-        }
-    }
-}
-
-TEST(BatchSweep, Fig10GridMatchesPerConfigOnAllPaperWorkloads)
-{
-    // Reduced trace scale: full equivalence coverage as a fast smoke.
-    harness::TraceCache cache(0.1);
-    harness::ParallelSweep sweep(cache);
-    const auto configs = fig10Grid();
-
-    std::vector<harness::SuiteResult> batched, unbatched;
-    {
-        ScopedEnv on("REPRO_BATCH_SWEEP", "1");
-        batched = sweep.runGrid(configs);
-        const harness::SweepExecution& e = sweep.lastExecution();
-        EXPECT_EQ(e.path(), "multi-geometry");
-        EXPECT_EQ(e.batched_cells, e.cells);
-        EXPECT_LT(e.trace_walks, e.cells);
-    }
-    {
-        ScopedEnv off("REPRO_BATCH_SWEEP", "0");
-        unbatched = sweep.runGrid(configs);
-        const harness::SweepExecution& e = sweep.lastExecution();
-        EXPECT_EQ(e.path(), "fused");
-        EXPECT_EQ(e.batched_cells, 0u);
-        EXPECT_EQ(e.trace_walks, e.cells);
-    }
-    expectSameResults(batched, unbatched);
 }
 
 TEST(BatchSweep, ExecutionReportCoversVirtualPath)

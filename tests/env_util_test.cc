@@ -1,14 +1,13 @@
 /**
  * @file
  * Tests for the checked environment-variable parsing layer
- * (core/env_util.hh) and the call sites that predate the parse_util
- * migration: REPRO_TRACE_SCALE lives in harness_test.cc;
- * REPRO_BATCH_SWEEP is covered here together with the generic
- * helpers. The contract under test: unset/empty selects
- * the default, a valid in-range value is used verbatim, and
- * everything else — trailing garbage, out-of-range, negative where
- * unsigned, unrecognized flag spellings — exits with status 2 after
- * one self-explanatory stderr line naming the variable.
+ * (core/env_util.hh) and ServiceConfig::fromEnv; the
+ * REPRO_TRACE_SCALE call site lives in harness_test.cc. The contract
+ * under test: unset/empty selects the default, a valid in-range
+ * value is used verbatim, and everything else — trailing garbage,
+ * out-of-range, negative where unsigned, unrecognized flag spellings
+ * — exits with status 2 after one self-explanatory stderr line
+ * naming the variable.
  */
 
 #include "core/env_util.hh"
@@ -17,7 +16,6 @@
 
 #include <cstdlib>
 
-#include "harness/batch_sweep.hh"
 #include "service/service_config.hh"
 
 namespace
@@ -105,38 +103,13 @@ TEST(EnvUtilDeathTest, UnrecognizedFlagIsFatal)
                 ::testing::ExitedWithCode(2), "REPRO_TEST_KNOB");
 }
 
-// --- the migrated call sites ---------------------------------------
-
-TEST(BatchSweepEnv, RecognizedSpellingsToggle)
-{
-    {
-        ScopedEnv on("REPRO_BATCH_SWEEP", "1");
-        EXPECT_TRUE(vpred::harness::batchSweepEnabled());
-    }
-    {
-        ScopedEnv off("REPRO_BATCH_SWEEP", "off");
-        EXPECT_FALSE(vpred::harness::batchSweepEnabled());
-    }
-    ::unsetenv("REPRO_BATCH_SWEEP");
-    EXPECT_TRUE(vpred::harness::batchSweepEnabled());
-}
-
-TEST(BatchSweepEnvDeathTest, GarbageIsFatalNotSilentlyOn)
-{
-    // "fales" (a typo for "false") used to enable batching — the
-    // exact opposite of the user's intent.
-    ScopedEnv e("REPRO_BATCH_SWEEP", "fales");
-    EXPECT_EXIT(vpred::harness::batchSweepEnabled(),
-                ::testing::ExitedWithCode(2), "REPRO_BATCH_SWEEP");
-}
+// --- the service call site ---------------------------------------------
 
 TEST(ServiceEnv, ValidValuesConfigureTheService)
 {
     ScopedEnv shards("REPRO_SERVICE_SHARDS", "8");
-    ScopedEnv quota("REPRO_SERVICE_RING_QUOTA_MIN", "4096");
     const service::ServiceConfig cfg = service::ServiceConfig::fromEnv();
     EXPECT_EQ(cfg.shards, 8u);
-    EXPECT_EQ(cfg.sweep_quota_min, 4096u);
 }
 
 TEST(ServiceEnvDeathTest, MalformedShardsIsFatal)
@@ -146,14 +119,6 @@ TEST(ServiceEnvDeathTest, MalformedShardsIsFatal)
     ScopedEnv e("REPRO_SERVICE_SHARDS", "8x");
     EXPECT_EXIT(service::ServiceConfig::fromEnv(),
                 ::testing::ExitedWithCode(2), "REPRO_SERVICE_SHARDS");
-}
-
-TEST(ServiceEnvDeathTest, OutOfRangeQuotaMinIsFatal)
-{
-    ScopedEnv e("REPRO_SERVICE_RING_QUOTA_MIN", "0");
-    EXPECT_EXIT(service::ServiceConfig::fromEnv(),
-                ::testing::ExitedWithCode(2),
-                "REPRO_SERVICE_RING_QUOTA_MIN");
 }
 
 } // namespace

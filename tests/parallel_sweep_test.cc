@@ -165,6 +165,10 @@ TEST(ParallelSweep, MatchesSerialRunSuiteOnFig10Grid)
     TraceCache parallel_cache(kTestScale);
     ParallelSweep sweep(parallel_cache, 4);
     const std::vector<SuiteResult> parallel = sweep.runGrid(configs);
+    const SweepExecution& e = sweep.lastExecution();
+    EXPECT_EQ(e.path(), "multi-geometry");
+    EXPECT_EQ(e.batched_cells, e.cells);
+    EXPECT_LT(e.trace_walks, e.cells);
 
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)

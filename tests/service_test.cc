@@ -465,6 +465,64 @@ TEST(ServiceIngest, UnregisterPublishesAndCapIsEnforced)
     service.unregisterProducer(b);
 }
 
+TEST(ServiceIngest, ConstructorRejectsOutOfRangeConfig)
+{
+    // Release builds compile out SpscRing's asserts, so these used to
+    // run: a 1000-slot ring overwrote records through mask 999, and a
+    // zero quota floor made every drain return 0 forever.
+    struct Case
+    {
+        const char* field;
+        void (*set)(ServiceConfig&);
+    };
+    const Case bad[] = {
+        {"ring_capacity", [](ServiceConfig& c) { c.ring_capacity = 1000; }},
+        {"ring_capacity", [](ServiceConfig& c) { c.ring_capacity = 1; }},
+        {"ring_capacity",
+         [](ServiceConfig& c) { c.ring_capacity = std::size_t{1} << 21; }},
+        {"publish_batch", [](ServiceConfig& c) { c.publish_batch = 0; }},
+        {"publish_batch",
+         [](ServiceConfig& c) { c.publish_batch = c.ring_capacity + 1; }},
+        {"max_producers", [](ServiceConfig& c) { c.max_producers = 0; }},
+        {"max_producers", [](ServiceConfig& c) { c.max_producers = 1025; }},
+        {"sweep_quota_min", [](ServiceConfig& c) { c.sweep_quota_min = 0; }},
+        {"sweep_quota_min",
+         [](ServiceConfig& c) { c.sweep_quota_min = 63; }},
+        {"sweep_quota_max",
+         [](ServiceConfig& c) {
+             c.sweep_quota_max = c.sweep_quota_min - 1;
+         }},
+        {"sweep_quota_max",
+         [](ServiceConfig& c) {
+             c.sweep_quota_max = (std::size_t{1} << 24) + 1;
+         }},
+        {"drain_slo_ns", [](ServiceConfig& c) { c.drain_slo_ns = 0; }},
+    };
+    for (const Case& k : bad) {
+        ServiceConfig cfg = tinyConfig(1);
+        k.set(cfg);
+        try {
+            PredictionService service(cfg);
+            ADD_FAILURE() << k.field << " out of range was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()).rfind(
+                              std::string("ServiceConfig::") + k.field, 0),
+                      0u)
+                    << e.what();
+        }
+    }
+
+    // The bounds themselves are accepted.
+    ServiceConfig edge = tinyConfig(1);
+    edge.ring_capacity = 2;
+    edge.publish_batch = 2;
+    edge.max_producers = 1024;
+    edge.sweep_quota_min = 64;
+    edge.sweep_quota_max = 64;
+    edge.drain_slo_ns = 1;
+    EXPECT_NO_THROW(PredictionService{edge});
+}
+
 TEST(ServiceIngest, AdaptiveQuotaGrowsHotAndShrinksPastSlo)
 {
     // Grow: keep the rings hotter than the quota floor with ticks

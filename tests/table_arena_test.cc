@@ -5,8 +5,8 @@
  * the huge-page mapping's 2 MiB alignment and its graceful fallback),
  * and TableBuffer's vector-like surface — growth preserving contents
  * with zeroed tails, shrink re-zeroing, assign, and move semantics.
- * These pin the behavior the sanitizer jobs rely on when REPRO_ARENA
- * =new routes every table through plain allocation.
+ * SanitizerBuildsNeverMap pins what the sanitizer jobs rely on: their
+ * builds route every table through plain allocation.
  */
 
 #include <gtest/gtest.h>
@@ -22,32 +22,56 @@ namespace
 using namespace vpred;
 namespace ta = vpred::table_arena;
 
+/** Mirrors table_arena.cc's sanitizerBuild(). */
+constexpr bool
+sanitizerBuild()
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    return true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+    return true;
+#else
+    return false;
+#endif
+#else
+    return false;
+#endif
+}
+
 TEST(TableArena, PlanBackingPolicyTable)
 {
-    // Zero bytes never allocates, regardless of mode.
-    EXPECT_EQ(ta::planBackingFor(0, ArenaMode::Auto), ArenaBacking::None);
-    EXPECT_EQ(ta::planBackingFor(0, ArenaMode::Mmap), ArenaBacking::None);
-    EXPECT_EQ(ta::planBackingFor(0, ArenaMode::New), ArenaBacking::None);
-
-    // Forced modes ignore the size threshold.
-    EXPECT_EQ(ta::planBackingFor(1, ArenaMode::New), ArenaBacking::New);
-    EXPECT_EQ(ta::planBackingFor(std::size_t{1} << 30, ArenaMode::New),
+    // Zero bytes never allocates; below the huge-page granule every
+    // build allocates plainly.
+    EXPECT_EQ(ta::planBackingFor(0), ArenaBacking::None);
+    EXPECT_EQ(ta::planBackingFor(1), ArenaBacking::New);
+    EXPECT_EQ(ta::planBackingFor(ta::kHugeThresholdBytes - 1),
               ArenaBacking::New);
-    EXPECT_EQ(ta::planBackingFor(1, ArenaMode::Mmap), ArenaBacking::Mmap);
+}
 
-    // Auto splits at the huge-page granule.
-    EXPECT_EQ(ta::planBackingFor(ta::kHugeThresholdBytes - 1,
-                                 ArenaMode::Auto),
-              ArenaBacking::New);
-    EXPECT_EQ(ta::planBackingFor(ta::kHugeThresholdBytes, ArenaMode::Auto),
-              ArenaBacking::Mmap);
+TEST(TableArena, SanitizerBuildsNeverMap)
+{
+    // A mapping sits outside ASan's redzones and TSan's shadow, so a
+    // sanitizer build must plan New for every size; any other build
+    // maps from the huge-page granule up.
+    const ArenaBacking big =
+            sanitizerBuild() ? ArenaBacking::New : ArenaBacking::Mmap;
+    EXPECT_EQ(ta::planBackingFor(ta::kHugeThresholdBytes), big);
+    EXPECT_EQ(ta::planBackingFor(std::size_t{1} << 30), big);
+
+    TableBuffer<std::uint32_t> buf(
+            ta::kHugeThresholdBytes / sizeof(std::uint32_t) + 1);
+    if (sanitizerBuild())
+        EXPECT_EQ(buf.backing(), ArenaBacking::New);
+    else  // a refused mapping degrades to New
+        EXPECT_NE(buf.backing(), ArenaBacking::None);
 }
 
 TEST(TableArena, PlainAllocationIsAlignedAndZeroed)
 {
     constexpr std::size_t kBytes = 4096;
     ArenaBacking backing = ArenaBacking::Mmap;
-    void* p = ta::allocateWith(kBytes, ArenaMode::New, backing);
+    void* p = ta::allocate(kBytes, backing);
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(backing, ArenaBacking::New);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % ta::kAlignBytes, 0u);
@@ -59,19 +83,20 @@ TEST(TableArena, PlainAllocationIsAlignedAndZeroed)
 
 TEST(TableArena, MappedAllocationIsHugeAlignedAndZeroed)
 {
-    // Forcing the mapping path for a sub-threshold size still yields
-    // a granule-aligned window (or the documented fallback to New if
-    // the kernel refuses — the reported backing tells which).
+    // A size that is not a granule multiple still yields a
+    // granule-aligned window (or plain allocation in a sanitizer
+    // build or if the kernel refuses — the reported backing tells
+    // which).
     constexpr std::size_t kBytes = 3 * 1024 * 1024;  // crosses a granule
     ArenaBacking backing = ArenaBacking::None;
-    void* p = ta::allocateWith(kBytes, ArenaMode::Mmap, backing);
+    void* p = ta::allocate(kBytes, backing);
     ASSERT_NE(p, nullptr);
     if (backing == ArenaBacking::Mmap) {
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p)
                           % ta::kHugeThresholdBytes,
                   0u);
     } else {
-        EXPECT_EQ(backing, ArenaBacking::New);  // kernel refused mmap
+        EXPECT_EQ(backing, ArenaBacking::New);
     }
     auto* bytes = static_cast<unsigned char*>(p);
     for (std::size_t i = 0; i < kBytes; i += 997)
@@ -82,17 +107,6 @@ TEST(TableArena, MappedAllocationIsHugeAlignedAndZeroed)
     EXPECT_EQ(bytes[0], 0xAB);
     EXPECT_EQ(bytes[kBytes - 1], 0xCD);
     ta::deallocate(p, kBytes, backing);
-}
-
-TEST(TableArena, ActiveModeIsStable)
-{
-    // Whatever REPRO_ARENA resolved to, it is resolved exactly once.
-    EXPECT_EQ(ta::activeMode(), ta::activeMode());
-    ArenaBacking backing = ArenaBacking::None;
-    void* p = ta::allocate(123, backing);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(backing, ta::planBacking(123));
-    ta::deallocate(p, 123, backing);
 }
 
 TEST(TableBuffer, StartsEmptyAndZeroConstructs)
@@ -181,43 +195,10 @@ TEST(TableBuffer, MoveTransfersOwnership)
     EXPECT_TRUE(b.empty());
 }
 
-TEST(TableBuffer, SetArenaModeRehomesPreservingSizeAndContents)
-{
-    // Big enough that New and Auto plan different backings outside
-    // sanitizer builds, so the pin actually re-homes. The regression
-    // this guards: re-homing must preserve size() — an early version
-    // left the buffer reporting empty, which turned every later
-    // fillZero() reset into a silent no-op over stale table state.
-    const std::size_t n =
-            ta::kHugeThresholdBytes / sizeof(std::uint32_t) + 7;
-    TableBuffer<std::uint32_t> buf(n);
-    buf[0] = 11;
-    buf[n - 1] = 22;
-    for (ArenaMode m : {ArenaMode::New, ArenaMode::Auto,
-                        ArenaMode::Mmap, ArenaMode::New}) {
-        buf.setArenaMode(m);
-        ASSERT_EQ(buf.size(), n);
-        const ArenaBacking planned =
-                ta::planBackingFor(n * sizeof(std::uint32_t), m);
-        if (planned == ArenaBacking::Mmap)
-            // allocateWith degrades Mmap to New if the kernel
-            // refuses the mapping; both are live backings here.
-            EXPECT_NE(buf.backing(), ArenaBacking::None);
-        else
-            EXPECT_EQ(buf.backing(), planned);
-        EXPECT_EQ(buf[0], 11u);
-        EXPECT_EQ(buf[n - 1], 22u);
-        EXPECT_EQ(buf[n / 2], 0u);
-    }
-    buf.fillZero();
-    EXPECT_EQ(buf[0], 0u);
-    EXPECT_EQ(buf[n - 1], 0u);
-}
-
 TEST(TableBuffer, HugeBufferRoundTrip)
 {
-    // Big enough that Auto mode (non-sanitizer builds) takes the
-    // mapping path end to end through TableBuffer.
+    // Big enough that non-sanitizer builds take the mapping path end
+    // to end through TableBuffer.
     const std::size_t n = ta::kHugeThresholdBytes / sizeof(std::uint32_t)
                           + 13;
     TableBuffer<std::uint32_t> buf(n);

@@ -6,10 +6,8 @@
 #            enforced, not aspirational) + the full ctest suite
 #   lint     tools/repro-lint over src/ bench/ examples/ tests/
 #   asan     AddressSanitizer + UndefinedBehaviorSanitizer build,
-#            full ctest suite (REPRO_ARENA=new pins table memory
-#            inside the sanitizer's instrumented allocator)
+#            full ctest suite
 #   tsan     ThreadSanitizer build, ctest -L "concurrency|perf"
-#            (REPRO_ARENA=new likewise)
 #   service  reduced-scale prediction-service smoke run
 #            (REPRO_SERVICE_SMOKE=1 REPRO_SERVICE_SCALING=1: ~10k
 #            streams through bench_service_load in a scratch cwd,
@@ -111,23 +109,16 @@ if want lint; then
         --format "sarif=$LINT_SARIF"
 fi
 
-# Sanitizer runs pin the table arena to operator new: mmap-backed
-# tables sit outside ASan's redzones and TSan's shadow is happier
-# without MADV_HUGEPAGE churn. table_arena.cc already defaults to
-# `new` when it detects a sanitizer build; the explicit pin keeps
-# these jobs deterministic even if that detection ever changes.
 if want asan; then
-    note "asan: ASan+UBSan build + full ctest (REPRO_ARENA=new)"
-    ( export REPRO_ARENA=new
-      configure_and_test build-check-asan -- \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DREPRO_ASAN=ON -DREPRO_UBSAN=ON )
+    note "asan: ASan+UBSan build + full ctest"
+    configure_and_test build-check-asan -- \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DREPRO_ASAN=ON -DREPRO_UBSAN=ON
 fi
 
 if want tsan; then
-    note "tsan: TSan build + ctest -L 'concurrency|perf' (REPRO_ARENA=new)"
-    ( export REPRO_ARENA=new
-      configure_and_test build-check-tsan -L "concurrency|perf" -- \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DREPRO_TSAN=ON )
+    note "tsan: TSan build + ctest -L 'concurrency|perf'"
+    configure_and_test build-check-tsan -L "concurrency|perf" -- \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DREPRO_TSAN=ON
 fi
 
 if want service; then
