@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/fcm_predictor.hh"
@@ -88,14 +87,25 @@ struct AliasBreakdown
  * The functional tables behave exactly like FcmPredictor /
  * DfcmPredictor (identical predictions); the shadow state is
  * observation-only.
+ *
+ * All shadow state is flat and fixed-stride: `order` history values
+ * and writer PCs per level-1 entry, `order` recorded history values
+ * per level-2 entry. Each level-1 entry also carries its hash
+ * register, so step() reads the level-2 index instead of re-hashing
+ * the history. The private tables share one open-addressing map
+ * keyed by (level-1 index, level-2 index).
  */
 class AliasAnalyzer
 {
   public:
     /**
-     * @param config Geometry/hash of the predictor to instrument.
+     * @param config Geometry/hash of the predictor to instrument;
+     *        l1_bits and l2_bits at most 24, and the hash must index
+     *        2^l2_bits entries.
      * @param differential False = FCM (value histories), true = DFCM
      *        (difference histories + last value).
+     * @throws std::invalid_argument naming the field that is out of
+     *         range.
      */
     AliasAnalyzer(const FcmConfig& config, bool differential);
 
@@ -119,21 +129,45 @@ class AliasAnalyzer
     unsigned order() const { return order_; }
 
   private:
-    struct L1Shadow
+    /**
+     * Open-addressing map from a private-table key to the value that
+     * private table holds; absent keys read as 0, like the zeroed
+     * global table. Keys are below 2^48, so ~0 marks an empty slot.
+     */
+    class PrivateTables
     {
-        std::vector<Value> history;  //!< oldest..newest, size = order
-        std::vector<Pc> writers;     //!< producer of each element
-        Value last = 0;              //!< DFCM last value
+      public:
+        PrivateTables();
+
+        /** The value stored under @p key, or 0. */
+        Value find(std::uint64_t key) const;
+
+        /** The value stored under @p key, inserting 0 if absent. The
+         *  reference is valid until the next call. */
+        Value& findOrInsert(std::uint64_t key);
+
+      private:
+        struct Slot
+        {
+            std::uint64_t key;
+            Value value;
+        };
+        static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+        std::size_t probe(std::uint64_t key) const;
+        void grow();
+
+        std::vector<Slot> slots_;
+        unsigned shift_;  //!< 64 - log2(slots_.size())
+        std::size_t size_ = 0;
     };
 
-    struct L2Shadow
-    {
-        std::vector<Value> history;  //!< history at last update
-        Pc writer;                   //!< PC of last updater
-    };
-
-    std::uint64_t hashOf(const std::vector<Value>& history) const;
     std::uint64_t privKey(std::size_t l1_idx, std::uint64_t l2_idx) const;
+
+    /** Rules 1-5 for @p pc at level-1 entry @p l1_idx, given its
+     *  level-2 index and private-table value. */
+    AliasType classifyAt(Pc pc, std::size_t l1_idx, std::uint64_t l2_idx,
+                         Value priv) const;
 
     FcmConfig cfg_;
     bool differential_;
@@ -143,10 +177,18 @@ class AliasAnalyzer
     std::uint64_t value_mask_;
     static constexpr Pc kNoPc = ~Pc{0};
 
-    std::vector<L1Shadow> l1_;
-    std::vector<Value> l2_;          //!< functional level-2 table
-    std::vector<L2Shadow> l2_shadow_;
-    std::unordered_map<std::uint64_t, Value> private_l2_;
+    // Level-1 shadow, per entry.
+    std::vector<Value> l1_history_;    //!< `order` values, oldest first
+    std::vector<Pc> l1_writers_;       //!< producer of each element
+    std::vector<Value> l1_last_;       //!< DFCM last value
+    std::vector<std::uint64_t> l1_hash_;  //!< hash register = l2 index
+
+    // Level 2: functional table plus shadow, per entry.
+    std::vector<Value> l2_;            //!< functional level-2 table
+    std::vector<Value> l2_history_;    //!< `order` values at last update
+    std::vector<Pc> l2_writer_;        //!< PC of last updater
+
+    PrivateTables private_l2_;
     AliasBreakdown breakdown_;
 };
 

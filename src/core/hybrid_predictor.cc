@@ -2,9 +2,36 @@
 
 #include <cassert>
 #include <sstream>
+#include <typeinfo>
+
+#include "core/dfcm_predictor.hh"
+#include "core/fcm_predictor.hh"
+#include "core/stride_predictor.hh"
 
 namespace vpred
 {
+
+namespace
+{
+
+/** PerfectHybridPredictor::predictAndUpdate with both components'
+ *  fused steps resolved statically. */
+template <class A, class B>
+PredictorStats
+runPair(A& first, B& second, std::span<const TraceRecord> trace)
+{
+    PredictorStats stats;
+    for (const TraceRecord& rec : trace) {
+        const bool first_correct =
+                first.A::predictAndUpdate(rec.pc, rec.value);
+        const bool second_correct =
+                second.B::predictAndUpdate(rec.pc, rec.value);
+        stats.record(first_correct || second_correct);
+    }
+    return stats;
+}
+
+} // namespace
 
 PerfectHybridPredictor::PerfectHybridPredictor(
         std::unique_ptr<ValuePredictor> first,
@@ -30,10 +57,32 @@ PerfectHybridPredictor::update(Pc pc, Value actual)
 bool
 PerfectHybridPredictor::predictAndUpdate(Pc pc, Value actual)
 {
-    const bool first_correct = first_->predict(pc) == actual;
-    const bool second_correct = second_->predict(pc) == actual;
-    update(pc, actual);
+    // The components share no state, so stepping the first one
+    // before the second predicts cannot change the second's
+    // prediction: their fused steps compose into predict both, then
+    // update both. Both always run; `||` would skip the second.
+    const bool first_correct = first_->predictAndUpdate(pc, actual);
+    const bool second_correct = second_->predictAndUpdate(pc, actual);
     return first_correct || second_correct;
+}
+
+PredictorStats
+PerfectHybridPredictor::runTraceSpan(std::span<const TraceRecord> trace)
+{
+    // Exact typeid, not dynamic_cast: a subclass would pass a cast,
+    // and the qualified calls in runPair would bypass its overrides.
+    ValuePredictor& first = *first_;
+    ValuePredictor& second = *second_;
+    if (typeid(first) == typeid(StridePredictor)) {
+        auto& stride = static_cast<StridePredictor&>(first);
+        if (typeid(second) == typeid(FcmPredictor))
+            return runPair(stride, static_cast<FcmPredictor&>(second),
+                           trace);
+        if (typeid(second) == typeid(DfcmPredictor))
+            return runPair(stride, static_cast<DfcmPredictor&>(second),
+                           trace);
+    }
+    return ValuePredictor::runTraceSpan(trace);
 }
 
 std::uint64_t

@@ -45,6 +45,15 @@ class PerfectHybridPredictor : public ValuePredictor
     Value predict(Pc pc) const override;
     void update(Pc pc, Value actual) override;
     bool predictAndUpdate(Pc pc, Value actual) override;
+
+    /**
+     * Walk @p trace. The paper's Stride+FCM and Stride+DFCM pairs
+     * run a devirtualized loop over both components' fused steps;
+     * every other pair takes the virtual walk. Dispatch is on the
+     * components' exact dynamic type, so a subclass with its own
+     * overrides is never walked as its base.
+     */
+    PredictorStats runTraceSpan(std::span<const TraceRecord>) override;
     std::uint64_t storageBits() const override;
     std::string name() const override;
 

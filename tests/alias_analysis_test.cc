@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/alias_analysis.hh"
 #include "core/dfcm_predictor.hh"
 #include "tracegen/mixer.hh"
@@ -141,6 +144,30 @@ TEST(AliasAnalyzer, HashAliasingDominatesUnderPressure)
     AliasAnalyzer a(config(12, 8), false);
     const AliasBreakdown b = a.run(trace);
     EXPECT_GT(b.fractionOfPredictions(AliasType::Hash), 0.1);
+}
+
+TEST(AliasAnalyzer, ConstructorRejectsOutOfRangeConfig)
+{
+    const auto message = [](const FcmConfig& cfg) -> std::string {
+        try {
+            AliasAnalyzer a(cfg, false);
+        } catch (const std::invalid_argument& e) {
+            return e.what();
+        }
+        return "(no std::invalid_argument thrown)";
+    };
+    EXPECT_THROW(AliasAnalyzer(config(25, 12), false),
+                 std::invalid_argument);
+    EXPECT_NE(message(config(25, 12)).find("l1_bits"), std::string::npos);
+    EXPECT_THROW(AliasAnalyzer(config(12, 25), true),
+                 std::invalid_argument);
+    EXPECT_NE(message(config(12, 25)).find("l2_bits"), std::string::npos);
+
+    // A hash narrower or wider than the level-2 table would index
+    // outside it.
+    FcmConfig mismatched = config(8, 12);
+    mismatched.hash = ShiftFoldHash::fsR5(14);
+    EXPECT_NE(message(mismatched).find("hash"), std::string::npos);
 }
 
 TEST(AliasAnalyzer, TypeNames)

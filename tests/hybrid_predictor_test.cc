@@ -11,6 +11,7 @@
 #include "core/last_value_predictor.hh"
 #include "core/stats.hh"
 #include "core/stride_predictor.hh"
+#include "tracegen/mixer.hh"
 
 namespace vpred
 {
@@ -30,6 +31,36 @@ makeFcm()
     cfg.l1_bits = 8;
     cfg.l2_bits = 12;
     return std::make_unique<FcmPredictor>(cfg);
+}
+
+std::unique_ptr<ValuePredictor>
+makeDfcm()
+{
+    return std::make_unique<DfcmPredictor>(
+            DfcmConfig{.l1_bits = 8, .l2_bits = 12});
+}
+
+std::unique_ptr<ValuePredictor>
+makeLvp()
+{
+    return std::make_unique<LastValuePredictor>(8);
+}
+
+/** Predict both components, then update both: the composition the
+ *  perfect hybrid's fused step must reproduce. */
+PredictorStats
+predictBothThenUpdateBoth(ValuePredictor& first, ValuePredictor& second,
+                          std::span<const TraceRecord> trace)
+{
+    PredictorStats stats;
+    for (const TraceRecord& rec : trace) {
+        const bool first_correct = first.predict(rec.pc) == rec.value;
+        const bool second_correct = second.predict(rec.pc) == rec.value;
+        first.update(rec.pc, rec.value);
+        second.update(rec.pc, rec.value);
+        stats.record(first_correct || second_correct);
+    }
+    return stats;
 }
 
 TEST(PerfectHybrid, CorrectWhenEitherComponentIsCorrect)
@@ -87,6 +118,78 @@ TEST(PerfectHybrid, UpdatesBothComponents)
         hybrid.predictAndUpdate(1, 4 * i);
     // The stride component saw every update.
     EXPECT_EQ(stride_raw->predict(1), 40u);
+}
+
+TEST(PerfectHybrid, FusedStepsMatchPredictBothThenUpdateBoth)
+{
+    // Small tables and many instructions: heavy aliasing in every
+    // component, so any cross-talk between the fused steps shows.
+    const ValueTrace trace = tracegen::makeMixedTrace(
+            {.stride_instructions = 40,
+             .constant_instructions = 6,
+             .context_instructions = 30,
+             .random_instructions = 6,
+             .seed = 1616},
+            60000);
+    using Make = std::unique_ptr<ValuePredictor> (*)();
+    const std::pair<Make, Make> pairs[] = {
+            {makeStride, makeFcm}, {makeStride, makeDfcm},
+            {makeLvp, makeFcm}};
+    for (const auto& [make_first, make_second] : pairs) {
+        auto first = make_first();
+        auto second = make_second();
+        const PredictorStats want =
+                predictBothThenUpdateBoth(*first, *second, trace);
+
+        PerfectHybridPredictor walked(make_first(), make_second());
+        const PredictorStats got = runTrace(walked, trace);
+        EXPECT_EQ(got.predictions, want.predictions) << walked.name();
+        EXPECT_EQ(got.correct, want.correct) << walked.name();
+
+        PerfectHybridPredictor stepped(make_first(), make_second());
+        PredictorStats stepped_stats;
+        for (const TraceRecord& rec : trace)
+            stepped_stats.record(stepped.predictAndUpdate(rec.pc,
+                                                          rec.value));
+        EXPECT_EQ(stepped_stats.correct, want.correct) << walked.name();
+
+        // Both components end in the reference state.
+        for (Pc pc = 0; pc < 256; ++pc) {
+            EXPECT_EQ(walked.predict(pc), first->predict(pc));
+            EXPECT_EQ(stepped.predict(pc), first->predict(pc));
+        }
+    }
+}
+
+/** A stride predictor that counts its fused steps. */
+class CountingStride : public StridePredictor
+{
+  public:
+    CountingStride() : StridePredictor(8) {}
+
+    bool
+    predictAndUpdate(Pc pc, Value actual) override
+    {
+        ++steps;
+        return StridePredictor::predictAndUpdate(pc, actual);
+    }
+
+    std::uint64_t steps = 0;
+};
+
+TEST(PerfectHybrid, PairWalkNeverBypassesASubclassOverride)
+{
+    // The devirtualized Stride x FCM walk must not take a subclass
+    // of StridePredictor for the base class: its override has to run
+    // on every record.
+    ValueTrace trace;
+    for (int i = 0; i < 1000; ++i)
+        trace.push_back({static_cast<Pc>(i % 7), static_cast<Value>(i)});
+    auto counting = std::make_unique<CountingStride>();
+    CountingStride* raw = counting.get();
+    PerfectHybridPredictor hybrid(std::move(counting), makeFcm());
+    runTrace(hybrid, trace);
+    EXPECT_EQ(raw->steps, trace.size());
 }
 
 TEST(CounterHybrid, ConvergesToTheBetterComponentPerPc)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/dfcm_predictor.hh"
 #include "core/fcm_predictor.hh"
 #include "core/ideal_context_predictor.hh"
@@ -74,6 +77,47 @@ TEST(IdealContextPredictor, StrideUsesOneContext)
     for (int i = 0; i < 200; ++i)
         q.update(1, 3 * i);
     EXPECT_GE(q.contextCount(), 190u);
+}
+
+/** The message of the std::invalid_argument @p make throws. */
+template <class F>
+std::string
+invalidArgumentMessage(F make)
+{
+    try {
+        make();
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "(no std::invalid_argument thrown)";
+}
+
+TEST(IdealContextPredictor, ConstructorRejectsOutOfRangeParameters)
+{
+    // Release builds compile asserts out: order 0 used to reach a
+    // negative-size history shift on the first update.
+    for (const unsigned order : {0u, 17u}) {
+        EXPECT_THROW(IdealContextPredictor(8, order, false),
+                     std::invalid_argument);
+        EXPECT_NE(invalidArgumentMessage([&] {
+                      IdealContextPredictor(8, order, true);
+                  }).find("order"),
+                  std::string::npos);
+    }
+    EXPECT_THROW(IdealContextPredictor(25, 3, false),
+                 std::invalid_argument);
+    EXPECT_NE(invalidArgumentMessage([] {
+                  IdealContextPredictor(25, 3, false);
+              }).find("l1_bits"),
+              std::string::npos);
+
+    // The boundaries themselves are accepted.
+    IdealContextPredictor lowest(8, 1, false);
+    lowest.update(1, 5);
+    EXPECT_EQ(lowest.predict(1), 0u);  // history (5) is a new context
+    IdealContextPredictor highest(0, 16, true);
+    highest.update(1, 5);
+    EXPECT_EQ(highest.contextCount(), 1u);
 }
 
 TEST(IdealContextPredictor, Name)

@@ -29,7 +29,8 @@
 #            overrides the 0.25 trace scale; see EXPERIMENTS.md for
 #            the baseline-refresh workflow.
 #   figures  regenerate every figure CSV in a scratch directory and
-#            byte-diff it against the committed results/ copies
+#            byte-diff it against the committed results/ copies,
+#            printing each driver's wall seconds and the total
 #   bench    the end-to-end benchmark's own checks (perfbench/): build
 #            .bench_build and run perfbench_tests, then every
 #            BENCHMARK.json workload for one second (--seed 1
@@ -204,15 +205,25 @@ if want figures; then
         echo "figures stage needs the release stage first" >&2; exit 1; }
     SCRATCH="$(mktemp -d "${TMPDIR:-/tmp}/vpred-figures.XXXXXX")"
     CLEANUP+=("$SCRATCH")
+    # Each driver's wall seconds and the total are printed as they
+    # finish: the per-driver figure-pipeline times (EPOCHREALTIME
+    # needs bash >= 5; older shells print 0).
     (
         cd "$SCRATCH"
+        total=0
         for b in "$ROOT"/build-check-release/bench/bench_*; do
             # The load generator runs at full scale (1M streams) and
             # emits no CSV — it has its own `service` smoke stage.
             [ "$(basename "$b")" = bench_service_load ] && continue
-            echo "  running $(basename "$b")"
+            start="${EPOCHREALTIME:-0}"
             "$b" > /dev/null
+            secs="$(awk -v a="$start" -v b="${EPOCHREALTIME:-0}" \
+                        'BEGIN { printf "%.2f", b - a }')"
+            total="$(awk -v t="$total" -v s="$secs" \
+                         'BEGIN { printf "%.2f", t + s }')"
+            printf '  %-36s %8s s\n' "$(basename "$b")" "$secs"
         done
+        printf '  %-36s %8s s\n' "total" "$total"
     )
     fail=0
     for csv in "$SCRATCH"/results/*.csv; do
