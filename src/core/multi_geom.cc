@@ -170,14 +170,6 @@ MultiGeomKernelBase::setEntryHists(std::size_t entry,
                       + static_cast<std::ptrdiff_t>(entry * padded_n_));
 }
 
-void
-MultiGeomKernelBase::clearEntryHists(std::size_t entry)
-{
-    const auto base = hists_.begin()
-            + static_cast<std::ptrdiff_t>(entry * padded_n_);
-    std::fill(base, base + static_cast<std::ptrdiff_t>(padded_n_), 0);
-}
-
 detail::MgSimdView
 MultiGeomKernelBase::makeView(std::uint64_t* correct)
 {
@@ -296,10 +288,14 @@ MultiGeomDfcmKernel::reset()
 }
 
 void
-MultiGeomDfcmKernel::clearEntry(std::size_t entry)
+MultiGeomDfcmKernel::growEntries()
 {
-    clearEntryHists(entry);
-    last_[entry] = 0;
+    // Entry-major banks: doubling the length keeps every entry at its
+    // index, and TableBuffer/vector growth zero the new tail.
+    ++cfg_.l1_bits;
+    l1_mask_ = maskBits(cfg_.l1_bits);
+    hists_.resize(l1Entries() * padded_n_);
+    last_.resize(l1Entries(), 0);
 }
 
 std::vector<PredictorStats>

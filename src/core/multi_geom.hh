@@ -126,9 +126,9 @@ class MultiGeomKernelBase
      * Zero-copy view of one level-1 entry's hashed-history bank:
      * paddedColumns() lanes (padding lanes carry dead state and are
      * exported/imported verbatim). The span is the kernel's
-     * relocatable per-entry level-1 state — the prediction service
-     * snapshots it on eviction and reinstalls it on restore; the
-     * shared level-2 tables are deliberately *not* part of it.
+     * per-entry level-1 state — the prediction service snapshots it
+     * and reinstalls it on restore; the shared level-2 tables are
+     * deliberately *not* part of it.
      */
     std::span<const std::uint32_t>
     entryHists(std::size_t entry) const
@@ -142,9 +142,6 @@ class MultiGeomKernelBase
                        std::span<const std::uint32_t> hists);
 
   protected:
-    /** Zero one entry's history bank (power-on state). */
-    void clearEntryHists(std::size_t entry);
-
     explicit MultiGeomKernelBase(const MultiGeomConfig& config);
 
     /** Reset all level-1 and level-2 state to power-on zeros. */
@@ -229,9 +226,6 @@ class MultiGeomFcmKernel : public MultiGeomKernelBase
 
     /** Reset all state to power-on zeros. */
     void reset() { resetState(); }
-
-    /** Return one entry to power-on state (service eviction). */
-    void clearEntry(std::size_t entry) { clearEntryHists(entry); }
 };
 
 /**
@@ -263,12 +257,29 @@ class MultiGeomDfcmKernel : public MultiGeomKernelBase
     /** Reset all state (histories, level-2 tables, last values). */
     void reset();
 
-    /** Return one entry to power-on state (service eviction): zero
-     *  its history bank and its last value. */
-    void clearEntry(std::size_t entry);
+    /**
+     * Double the level-1 bank (histories and last values) in place:
+     * every existing entry keeps its index and its state, the new
+     * upper half starts at power-on zeros, and the level-2 tables are
+     * untouched. Feeding, growing and feeding again is therefore
+     * bit-identical to feeding a kernel built at the larger size.
+     * The prediction service grows its shards' kernels this way so
+     * every stream keeps one permanent entry; the sweeps never call
+     * it.
+     */
+    void growEntries();
+
+    /** Pull @p entry's history bank and last value toward the cache
+     *  ahead of a feedTrace() that will touch them. */
+    void
+    prefetchEntry(std::size_t entry) const
+    {
+        __builtin_prefetch(&hists_[entry * padded_n_]);
+        __builtin_prefetch(&last_[entry]);
+    }
 
     /** One entry's last value — with entryHists() this is the whole
-     *  relocatable per-entry level-1 state of a DFCM. */
+     *  per-entry level-1 state of a DFCM. */
     Value lastValue(std::size_t entry) const { return last_[entry]; }
     void setLastValue(std::size_t entry, Value v) { last_[entry] = v; }
 

@@ -7,9 +7,9 @@
  * allocation APIs.
  *
  * Every hot table in the reproduction — the multi-geometry level-2
- * columns (up to 2^28 x u32 each), the per-entry hashed-history bank,
- * the service SlotMap bucket arrays and the shard spill bank — used
- * to live in std::vector. That is correct but leaves two measurable
+ * columns (up to 2^28 x u32 each), the per-entry hashed-history bank
+ * and the service SlotMap bucket arrays — used to live in
+ * std::vector. That is correct but leaves two measurable
  * costs on the floor at the paper's realistic table sizes:
  *
  *   - TLB pressure: a 4 MiB level-2 column spans 1024 4 KiB pages;
@@ -95,7 +95,7 @@ void deallocate(void* p, std::size_t bytes, ArenaBacking backing);
  * A hot-table buffer: zero-initialized, 64-byte-aligned, relocatable
  * storage for trivially-copyable table slots. Grows like a vector
  * (geometric capacity, contents preserved, new tail zeroed) so the
- * shard spill bank and the SlotMap can live here too.
+ * service's growing kernel banks and the SlotMap can live here too.
  */
 template <class T>
 class TableBuffer

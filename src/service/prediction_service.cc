@@ -142,16 +142,14 @@ PredictionService::stats() const
         const ShardStats& s = shard->stats();
         agg.ingested += s.ingested;
         agg.predictions += s.predictions;
-        agg.evictions += s.evictions;
-        agg.restores += s.restores;
         if (!s.correct.empty())
             agg.correct_col0 += s.correct[0];
         agg.flushes += s.flushes;
         agg.max_backlog = std::max(agg.max_backlog, s.max_backlog);
         agg.quota_grows += s.quota_grows;
         agg.quota_shrinks += s.quota_shrinks;
+        agg.stages += s.stages;
         agg.resident_streams += shard->residentStreams();
-        agg.spilled_streams += shard->spilledStreams();
     }
     return agg;
 }

@@ -5,10 +5,10 @@
  * Owns one Shard per configured core, routes every (stream, value)
  * update to its owning shard by a mixed hash of the stream id, and
  * pumps all shard queues in parallel on the harness ThreadPool. The
- * service is long-lived: state accumulates across pump() calls
- * (shards feed the fused multi-geometry kernels incrementally and
- * spill/restore cold streams), so millions of concurrent streams
- * are served from bounded resident table space.
+ * service is long-lived: state accumulates across pump() calls, and
+ * every stream keeps one permanent level-1 entry in its shard's
+ * kernel (the bank doubles as the population grows), so millions of
+ * concurrent streams cost one history bank and one last value each.
  *
  * Ingest is producer-registered: each producer thread obtains a
  * Producer token (registerProducer()) that names its private SPSC
@@ -22,8 +22,8 @@
  * by one producer — the same single-writer discipline the old mutex
  * queue required of callers that cared about order.
  *
- * Snapshots serialize every known stream's relocatable level-1
- * state into a VPT2 container (the PR-3 trace store format): one
+ * Snapshots serialize every known stream's level-1 state into a
+ * VPT2 container (the PR-3 trace store format): one
  * fixed-size block of TraceRecords per stream, written atomically and
  * durably via harness::writeFileAtomic and restored through the
  * zero-copy mmap path.
@@ -60,14 +60,19 @@ struct ServiceStats
 {
     std::uint64_t ingested = 0;
     std::uint64_t predictions = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t restores = 0;
+    /** Streams known to the service, one kernel entry each. */
     std::uint64_t resident_streams = 0;
-    std::uint64_t spilled_streams = 0;
     /** Correct predictions for the kernels' first level-2 column. */
     std::uint64_t correct_col0 = 0;
-    std::uint64_t flushes = 0;  //!< segments fed to the kernels
-    // Always 0 (the kernel has one feed path); perfbench/ reads them.
+    std::uint64_t flushes = 0;  //!< chunks fed to the kernels
+    /** Drain stage split, summed across shards (shards drain in
+     *  parallel, so wall_ns is summed drain time, not elapsed). */
+    DrainStages stages;
+    // Always 0 (no stream is ever evicted, and the kernel has one
+    // feed path); perfbench/ reads them.
+    std::uint64_t evictions = 0;
+    std::uint64_t restores = 0;
+    std::uint64_t spilled_streams = 0;
     std::uint64_t packed_steps = 0;
     std::uint64_t gather_records = 0;
     std::uint64_t scalar_records = 0;
@@ -220,8 +225,9 @@ class PredictionService
 
     /**
      * Reinstall stream state from a snapshotTo() file. Geometry must
-     * match this service's kernels; streams land in their owning
-     * shard's spill area and resume on their next update.
+     * match this service's kernels; each stream is installed into its
+     * owning shard's kernel (admitted first if new there) and resumes
+     * on its next update.
      * @throws TraceIoError on a corrupt or mismatched snapshot.
      */
     void restoreFrom(const std::string& path);

@@ -31,8 +31,9 @@ struct ServiceConfig
 {
     /** Shards (state-owning cores). 0 = one per hardware thread. */
     unsigned shards = 0;
-    /** log2(resident streams per shard): each shard's kernel owns
-     *  2^l1_bits level-1 entries; colder streams are spilled. */
+    /** log2(initial level-1 entries per shard kernel). Every stream
+     *  owns one entry; a shard doubles its bank whenever a new
+     *  stream finds it full, so this sizes the start, not a cap. */
     unsigned l1_bits = 14;
     /** Level-2 sizes evaluated per stream (one kernel column each). */
     std::vector<unsigned> l2_bits = {12};

@@ -3,20 +3,21 @@
  * One shard of the always-on prediction service. repro-lint: hot-path
  *
  * A shard exclusively owns the predictor state for its slice of the
- * stream-id space: a MultiGeomDfcmKernel whose 2^l1_bits level-1
- * entries hold the *resident* (hot) streams, a SlotMap assigning
- * dense kernel slots to stream ids, and a spill area holding the
- * relocatable level-1 state (hashed-history bank + last value) of
- * every stream that has been evicted to make room.
+ * stream-id space: a MultiGeomDfcmKernel in which every stream the
+ * shard has seen owns one permanent level-1 entry, and a SlotMap
+ * numbering the streams densely in first-appearance order. The bank
+ * starts at 2^l1_bits entries and doubles (growEntries()) whenever a
+ * new stream finds it full, so no stream's state is ever moved, copied
+ * out or evicted: the kernel bank is the one copy.
  *
  * Ingest is a lock-free fabric: each registered producer owns one
  * bounded SPSC ring into this shard (see spsc_ring.hh for the
  * memory-order argument). Producers tryEnqueue() into their ring —
  * ring-full is a retriable backpressure status, never a blocked
- * thread — and the shard's pump thread drain()s by sweeping all
- * rings into a staging vector, admitting streams (restoring spilled
- * state bit-identically when a cold stream returns), and feeding the
- * batch through the kernel's feedTrace() in arrival order.
+ * thread — and the shard's pump thread drain()s by popping the rings
+ * in chunks, resolving each record's entry (one index probe per
+ * record, prefetched ahead of the loop), and feeding every chunk
+ * through the kernel's feedTrace() in arrival order.
  *
  * The sweep is quota-bounded and adaptive: drain() moves at most
  * sweep_quota_ records per call, doubling the quota while rings run
@@ -26,12 +27,9 @@
  * work to the producers as explicit, accounted backpressure instead
  * of letting drain latency compound.
  *
- * The drain is segmented so eviction and batching compose: a slot
- * whose records are staged in the current segment is never an
- * eviction victim (its kernel state would be stale), and the segment
- * is flushed once the staged-stream count reaches half the slot
- * table — so under heavy stream churn the kernel still sees large
- * batches instead of one feed per eviction.
+ * Every drain is split into four stages timed per popped chunk with
+ * the steady clock — ring sweep, index/admit, kernel feed and
+ * accounting — which add up to the drain wall time (DrainStages).
  *
  * Concurrency contract: tryEnqueue()/flushProducer() are safe from
  * the owning producer's thread concurrently with everything;
@@ -42,19 +40,18 @@
  *
  * Determinism contract: a stream's exported level-1 state depends
  * only on that stream's own value sequence — never on which shard it
- * lives in, which slot it occupies, which producer ring carried it,
+ * lives in, which entry it occupies, which producer ring carried it,
  * or which other streams share the kernel — so it is invariant
- * across shard counts, ring capacities, producer counts and eviction
- * schedules.
+ * across shard counts, ring capacities, producer counts and bank
+ * growth.
  *
  * Level-2 semantics: the kernel sees every drained record in arrival
- * order, and a spilled stream's level-1 state comes back exactly, so
- * a shard's level-2 tables and per-column correct counts are those of
- * one plain DFCM fed the shard's records in arrival order, with one
- * private level-1 entry per stream. Level-2 hit rates therefore vary
- * with co-residency and interleaving, exactly like aliasing in the
- * paper's shared tables; tests/service_test.cc checks the counts
- * against that reference kernel.
+ * order with one private level-1 entry per stream, so a shard's
+ * level-2 tables and per-column correct counts are those of one
+ * plain DFCM fed the shard's records in arrival order. Level-2 hit
+ * rates therefore vary with co-residency and interleaving, exactly
+ * like aliasing in the paper's shared tables; tests/service_test.cc
+ * checks the counts against that reference kernel.
  */
 
 #ifndef DFCM_SERVICE_SHARD_HH
@@ -78,10 +75,9 @@
 namespace vpred::service
 {
 
-/** The relocatable per-stream level-1 state: one hashed-history lane
- *  per kernel column (padded bank, exported verbatim) plus the DFCM
- *  last value. This is exactly what eviction spills and restore
- *  reinstalls. */
+/** The per-stream level-1 state: one hashed-history lane per kernel
+ *  column (padded bank, exported verbatim) plus the DFCM last value.
+ *  This is what a snapshot saves and a restore reinstalls. */
 struct StreamState
 {
     std::vector<std::uint32_t> hists;
@@ -90,17 +86,42 @@ struct StreamState
     bool operator==(const StreamState&) const = default;
 };
 
+/**
+ * Where drain() time goes, in steady-clock nanoseconds. Each popped
+ * chunk is timed as four consecutive laps, and the per-drain
+ * bookkeeping is a final accounting lap, so the stages add up to
+ * wall_ns.
+ */
+struct DrainStages
+{
+    std::uint64_t sweep_ns = 0;    //!< backlog snapshot and ring pops
+    std::uint64_t admit_ns = 0;    //!< index probes and new-stream admits
+    std::uint64_t feed_ns = 0;     //!< kernel feedTrace
+    std::uint64_t account_ns = 0;  //!< latency, stats and quota updates
+    std::uint64_t wall_ns = 0;     //!< drain() wall time
+
+    DrainStages&
+    operator+=(const DrainStages& o)
+    {
+        sweep_ns += o.sweep_ns;
+        admit_ns += o.admit_ns;
+        feed_ns += o.feed_ns;
+        account_ns += o.account_ns;
+        wall_ns += o.wall_ns;
+        return *this;
+    }
+};
+
 struct ShardStats
 {
     std::uint64_t ingested = 0;     //!< updates swept from the rings
     std::uint64_t predictions = 0;  //!< records fed to the kernel
-    std::uint64_t evictions = 0;
-    std::uint64_t restores = 0;     //!< spilled streams re-admitted
     std::uint64_t max_backlog = 0;  //!< deepest summed ring occupancy
                                     //!< seen at drain entry
-    std::uint64_t flushes = 0;      //!< segments fed to the kernel
+    std::uint64_t flushes = 0;      //!< chunks fed to the kernel
     std::uint64_t quota_grows = 0;   //!< sweep-quota doublings
     std::uint64_t quota_shrinks = 0; //!< sweep-quota halvings
+    DrainStages stages;
     /** Correct predictions per kernel column. */
     std::vector<std::uint64_t> correct;
 };
@@ -149,10 +170,8 @@ class Shard
      */
     std::size_t drain(std::uint64_t now_ns);
 
-    /** Streams currently resident in the kernel. */
-    std::size_t residentStreams() const { return map_.size(); }
-    /** Streams whose state lives in the spill area only. */
-    std::size_t spilledStreams() const;
+    /** Streams this shard has seen, one kernel entry each. */
+    std::size_t residentStreams() const { return streams_.size(); }
 
     const ShardStats& stats() const { return stats_; }
     /** Aggregate producer-side ring counters (safe anytime). */
@@ -168,8 +187,8 @@ class Shard
     }
 
     /**
-     * The level-1 state of @p stream, resident or spilled; nullopt
-     * for a stream this shard has never seen. Quiescent only.
+     * The level-1 state of @p stream; nullopt for a stream this shard
+     * has never seen. Quiescent only.
      */
     std::optional<StreamState> streamState(std::uint64_t stream) const;
 
@@ -177,7 +196,7 @@ class Shard
      * Append one fixed-size block per known stream to @p out for a
      * VPT2 snapshot: {pc=stream, value=last} followed by one
      * {pc=stream, value=hist lane} record per padded kernel column.
-     * Quiescent only; resident streams first, then spilled ones.
+     * Quiescent only; streams in entry (first-appearance) order.
      */
     void appendSnapshot(ValueTrace& out) const;
 
@@ -188,54 +207,27 @@ class Shard
     }
 
     /**
-     * Install @p state for @p stream (the restore path). The stream
-     * lands in the spill area and is admitted on its next update, so
-     * restore never disturbs resident streams. Quiescent only.
+     * Install @p state for @p stream (the restore path), admitting
+     * the stream first if this shard has never seen it. Quiescent
+     * only.
      */
     void installStream(std::uint64_t stream, const StreamState& state);
 
   private:
-    /** Feed every record in pending_ through admit into the staged
-     *  batch, with the two-stage prefetch pipeline. */
-    void admitRange(std::uint64_t now_ns,
-                    LatencyHistogram& drain_latency);
+    /** Resolve the entry of every record in pending_ into batch_,
+     *  with the two-stage prefetch pipeline. */
+    void admitRange();
+    /** The entry of @p stream, admitting it (and growing the kernel
+     *  bank when full) if this shard has never seen it.
+     *  @throws std::length_error past 2^32 streams. */
     std::uint32_t admit(std::uint64_t stream);
-    void flushBatch();
-    std::uint32_t evictOne();
-    std::uint32_t spillSlotFor(std::uint64_t stream);
-    void spillTo(std::uint32_t spill_slot, std::uint32_t kernel_slot);
+    void feedBatch();
 
     MultiGeomDfcmKernel kernel_;
-    std::size_t capacity_;
-
-    // Resident-stream bookkeeping, indexed by kernel slot. The epoch
-    // advances once per segment flush, so slot_epoch_[s] == epoch_
-    // identifies exactly the slots with records staged in batch_ —
-    // the slots eviction must not touch (epoch 0 is reserved for
-    // never-touched slots; epoch_ starts at 1).
-    SlotMap map_;
-    std::vector<std::uint64_t> slot_stream_;
-    std::vector<std::uint64_t> slot_epoch_;
-    /** Resident slot -> spill slot (kNoSpill before first spill):
-     *  lets eviction skip the spill-index probe at steady state. */
-    std::vector<std::uint32_t> slot_spill_;
-    std::size_t next_unused_ = 0;  //!< slots never yet allocated
-    std::size_t hand_ = 0;         //!< eviction clock hand
-    std::uint64_t epoch_ = 1;      //!< advances once per segment flush
-    std::size_t staged_streams_ = 0;  //!< distinct slots in batch_
-    std::size_t flush_threshold_;     //!< staged streams per segment
-
-    // Spill area: flat banks indexed by spill slot; a stream keeps
-    // its spill slot for life, so repeated evictions overwrite in
-    // place and memory stays proportional to distinct streams seen.
-    // The hot banks are arena-backed (TableBuffer): at service scale
-    // they reach hundreds of MiB, and the mmap backing's lazy zero
-    // pages are first touched by this shard's own drain thread —
-    // NUMA-correct placement without explicit pinning.
-    SlotMap spill_index_;
-    TableBuffer<std::uint32_t> spill_hists_;
-    TableBuffer<Value> spill_last_;
-    std::vector<std::uint64_t> spill_streams_;  //!< spill slot -> id
+    /** Stream id -> kernel entry, and its inverse: entry e belongs to
+     *  streams_[e]. Both only ever grow. */
+    SlotMap index_;
+    std::vector<std::uint64_t> streams_;
 
     // Ingest fabric: one SPSC ring per registered producer, slots
     // pre-allocated to the lifetime cap so the array itself is never
@@ -252,9 +244,9 @@ class Shard
     std::size_t sweep_quota_max_;
     std::uint64_t drain_slo_ns_;
 
-    std::vector<Update> pending_;  //!< drain-side sweep target
+    std::vector<Update> pending_;  //!< one popped chunk
     std::vector<std::size_t> ring_take_; //!< per-ring drain snapshot
-    ValueTrace batch_;             //!< records staged for feedTrace
+    ValueTrace batch_;             //!< pending_ resolved to entries
 
     ShardStats stats_;
     LatencyHistogram latency_;

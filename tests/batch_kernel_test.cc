@@ -11,9 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "core/cpu_features.hh"
 #include "core/multi_geom.hh"
 #include "core/predictor_factory.hh"
 #include "core/stats.hh"
@@ -249,9 +252,9 @@ TEST(MultiGeomKernel, ChunkedFeedMatchesSingleRun)
 
 TEST(MultiGeomKernel, EntryStateExportClearRestoreRoundTrips)
 {
-    // Eviction support: an entry's level-1 state (history bank +
-    // last value) must survive export -> clearEntry -> reinstall
-    // bit-identically, and clearing must actually zero it.
+    // Snapshot support: an entry's level-1 state (history bank +
+    // last value) must survive export -> overwrite with power-on
+    // zeros -> reinstall bit-identically.
     const ValueTrace trace = adversarialTrace();
     const MultiGeomConfig cfg{.l1_bits = 5,
                               .value_bits = 32,
@@ -266,7 +269,8 @@ TEST(MultiGeomKernel, EntryStateExportClearRestoreRoundTrips)
                 kernel.entryHists(e).begin(), kernel.entryHists(e).end());
         const Value last = kernel.lastValue(e);
 
-        kernel.clearEntry(e);
+        kernel.setEntryHists(e, std::vector<std::uint32_t>(hists.size()));
+        kernel.setLastValue(e, 0);
         EXPECT_TRUE(std::ranges::all_of(
                 kernel.entryHists(e),
                 [](std::uint32_t h) { return h == 0; }));
@@ -276,6 +280,60 @@ TEST(MultiGeomKernel, EntryStateExportClearRestoreRoundTrips)
         kernel.setLastValue(e, last);
         EXPECT_TRUE(std::ranges::equal(kernel.entryHists(e), hists));
         EXPECT_EQ(kernel.lastValue(e), last);
+    }
+}
+
+TEST(MultiGeomKernel, GrowEntriesMatchesKernelBuiltLarger)
+{
+    // The service's growth path: feed a small bank, double it twice
+    // mid-trace, keep feeding. Every existing entry keeps its state
+    // and the new ones start at power-on zeros, so stats and every
+    // entry bank must equal a kernel built at the final size and fed
+    // the same records — on every backend this build carries.
+    const ValueTrace trace = adversarialTrace();
+    const std::span<const TraceRecord> span(trace);
+    const std::size_t third = trace.size() / 3;
+    for (const unsigned stride_bits : {32u, 12u}) {
+        const MultiGeomConfig small{.l1_bits = 5,
+                                    .value_bits = 32,
+                                    .stride_bits = stride_bits,
+                                    .hash_shift = 5,
+                                    .l2_bits = {6, 10, 14}};
+        MultiGeomConfig large = small;
+        large.l1_bits = 7;
+        // Phase k only uses entries the grown-k-times bank has, so the
+        // small kernel never aliases a pc the large one keeps apart.
+        std::array<ValueTrace, 3> phases;
+        for (std::size_t k = 0; k < phases.size(); ++k) {
+            const Pc mask = (Pc{1} << (small.l1_bits + k)) - 1;
+            for (const TraceRecord& r :
+                 span.subspan(k * third, k + 1 < phases.size()
+                                                 ? third
+                                                 : trace.size() - 2 * third))
+                phases[k].push_back({r.pc & mask, r.value});
+        }
+        for (const SimdBackend backend : availableSimdBackends()) {
+            SCOPED_TRACE(std::string(simdBackendName(backend))
+                         + " stride_bits " + std::to_string(stride_bits));
+            MultiGeomDfcmKernel grown(small);
+            MultiGeomDfcmKernel built(large);
+            for (std::size_t k = 0; k < phases.size(); ++k) {
+                if (k != 0)
+                    grown.growEntries();
+                EXPECT_EQ(grown.feedTrace(phases[k], backend),
+                          built.feedTrace(phases[k], backend))
+                        << "phase " << k;
+            }
+            ASSERT_EQ(grown.l1Entries(), built.l1Entries());
+            EXPECT_EQ(grown.config().l1_bits, large.l1_bits);
+            for (std::size_t e = 0; e < built.l1Entries(); ++e) {
+                ASSERT_TRUE(std::ranges::equal(grown.entryHists(e),
+                                               built.entryHists(e)))
+                        << "entry " << e;
+                ASSERT_EQ(grown.lastValue(e), built.lastValue(e))
+                        << "entry " << e;
+            }
+        }
     }
 }
 

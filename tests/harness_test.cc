@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "harness/experiment.hh"
 #include "harness/pareto.hh"
@@ -178,16 +182,28 @@ TEST(TablePrinter, Formatting)
 
 TEST(TablePrinter, CsvRoundTrip)
 {
+    // writeCsv() writes under the working directory's results/, so
+    // run it from a private temp directory: the test must never
+    // leave a CSV beside the real figure outputs.
+    namespace fs = std::filesystem;
+    const fs::path home = fs::current_path();
+    const fs::path dir = fs::temp_directory_path()
+            / ("vpred_table_printer_" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    fs::current_path(dir);
     TablePrinter t({"x", "y"});
     t.addRow({"1", "2"});
     t.writeCsv("test_table");
     std::ifstream in("results/test_table.csv");
+    fs::current_path(home);
     ASSERT_TRUE(in.good());
     std::string line;
     std::getline(in, line);
     EXPECT_EQ(line, "x,y");
     std::getline(in, line);
     EXPECT_EQ(line, "1,2");
+    in.close();
+    fs::remove_all(dir);
 }
 
 } // namespace

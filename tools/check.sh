@@ -12,9 +12,9 @@
 #            (REPRO_SERVICE_SMOKE=1 REPRO_SERVICE_SCALING=1: ~10k
 #            streams through bench_service_load in a scratch cwd,
 #            plus the 2-point reduced scaling sweep) — exercises the
-#            sharded ingest/evict/spill path and the thread-scaling
-#            harness end to end and checks that BENCH_service.json
-#            carries the "scaling" table
+#            sharded ingest, admit and kernel-bank growth path and
+#            the thread-scaling harness end to end and checks that
+#            BENCH_service.json carries the "scaling" table
 #   perf     reduced-scale bench_throughput run plus a service smoke
 #            run in scratch cwds, then bench-compare against the
 #            committed results/BENCH_throughput.json and
